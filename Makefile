@@ -56,13 +56,20 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameRead -fuzztime 5s ./internal/ws
 	$(GO) test -run '^$$' -fuzz FuzzBandTransform -fuzztime 5s ./internal/dsp
 
-# The spectral-engine benchmarks the serving path depends on, checked
-# against the committed baseline (BENCH_baseline.json): >20% ns/op
-# regression or any allocs/op change fails the build. Three short counts
-# per benchmark; ewbenchgate gates on the per-benchmark minimum so shared
-# -machine noise cannot fail a healthy build.
-BENCH_SMOKE = { $(GO) test -run '^$$' -bench 'BenchmarkSTFTCompute|BenchmarkSTFTBatch' -benchmem -benchtime 0.3s -count 3 ./internal/dsp && \
-	$(GO) test -run '^$$' -bench 'BenchmarkStreamFeed1024$$' -benchmem -benchtime 0.3s -count 3 .; }
+# The spectral-engine and streaming-feed benchmarks the serving path
+# depends on, checked against the committed baseline
+# (BENCH_baseline.json): a row whose ns/op, divided by the same run's
+# BenchmarkSTFTCompute/fullfft, grew >20% over the baseline's ratio fails
+# the build, and so does any allocs/op change — so a slower or faster
+# host alone cannot move the verdict. Three short counts per benchmark,
+# in two passes a minute apart; ewbenchgate gates on the per-benchmark
+# minimum so shared-machine noise, including a host that drops to a
+# slower speed for tens of seconds, cannot fail a healthy build. The
+# steady-state feed runs a fixed 200 feeds so its allocs/op is exact.
+BENCH_PASS = $(GO) test -run '^$$' -bench 'BenchmarkSTFTCompute|BenchmarkSTFTBatch' -benchmem -benchtime 0.3s -count 3 ./internal/dsp && \
+	$(GO) test -run '^$$' -bench 'BenchmarkStreamFeed1024$$' -benchmem -benchtime 0.3s -count 3 . && \
+	$(GO) test -run '^$$' -bench 'BenchmarkStreamFeedSteady$$' -benchmem -benchtime 200x -count 3 .
+BENCH_SMOKE = { $(BENCH_PASS) && $(BENCH_PASS); }
 
 bench-smoke:
 	$(BENCH_SMOKE) | $(GO) run ./cmd/ewbenchgate

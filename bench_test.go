@@ -284,7 +284,9 @@ func BenchmarkAblationDictSize(b *testing.B) {
 
 // BenchmarkStreamFeed1024 measures streaming ingest at a realistic
 // microphone delivery size (1024 samples ≈ 23 ms at 44.1 kHz), reusing
-// one pooled stream via Reset between iterations.
+// one pooled stream via Reset between iterations. One untimed pass
+// first grows the stream's buffers, so every timed pass does the same
+// work and allocs/op is exact.
 func BenchmarkStreamFeed1024(b *testing.B) {
 	eng, err := pipeline.NewEngine(pipeline.DefaultConfig())
 	if err != nil {
@@ -298,9 +300,7 @@ func BenchmarkStreamFeed1024(b *testing.B) {
 	}
 	samples := rec.Signal.Samples
 	stream := pipeline.NewStream(eng)
-	b.SetBytes(int64(len(samples) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	pass := func() {
 		stream.Reset()
 		for off := 0; off < len(samples); off += 1024 {
 			end := off + 1024
@@ -315,7 +315,53 @@ func BenchmarkStreamFeed1024(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	pass()
+	b.SetBytes(int64(len(samples) * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
 	b.ReportMetric(rec.Signal.Duration()*float64(b.N)/b.Elapsed().Seconds(), "audio_s/s")
+}
+
+// BenchmarkStreamFeedSteady measures the per-chunk cost of a long-running
+// session: one 1024-sample feed (one STFT column) into a stream whose
+// 1024-column window is already full. The six-stroke recording loops,
+// trimmed to whole hops so its columns repeat exactly; run it at a fixed
+// -benchtime Nx so every run covers the same chunks and allocs/op is
+// exact.
+func BenchmarkStreamFeedSteady(b *testing.B) {
+	eng, err := pipeline.NewEngine(pipeline.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	hop := eng.Config().STFT.HopSize
+	sess := participant.NewSession(participant.SixParticipants()[0], 1)
+	rec, err := capture.Perform(sess,
+		stroke.Sequence{stroke.S1, stroke.S2, stroke.S3, stroke.S4, stroke.S5, stroke.S6},
+		acoustic.Mate9(), acoustic.StandardEnvironment(acoustic.MeetingRoom), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	samples := rec.Signal.Samples[:len(rec.Signal.Samples)/hop*hop]
+	stream := pipeline.NewStream(eng)
+	off := 0
+	feed := func(n int) {
+		end := min(off+n, len(samples))
+		if _, err := stream.Feed(samples[off:end]); err != nil {
+			b.Fatal(err)
+		}
+		off = end % len(samples)
+	}
+	// Fill the window in ~1 s chunks, then keep some margin past it.
+	for stream.FramesSeen() < 1024+64 {
+		feed(43 * hop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		feed(1024)
+	}
 }
 
 // BenchmarkEnginePoolCheckout measures the warm checkout/return path a

@@ -6,6 +6,13 @@
 // changes its allocation count, or is missing from the input — a silent
 // drop must not read as a pass.
 //
+// Speed is gated relative to a reference benchmark measured in the same
+// run (the full-FFT STFT, code the serving path no longer touches): a
+// row fails when its ns/op divided by the reference's
+// grew by more than the tolerance over the baseline's ratio. A uniformly
+// slower or faster host moves every row and the reference alike and
+// passes; absolute ns/op is printed for information only.
+//
 // Usage:
 //
 //	go test -run '^$' -bench B -benchmem -count 3 ./pkg | ewbenchgate [flags]
@@ -25,6 +32,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // baseline is the committed reference measurement set.
@@ -39,17 +47,22 @@ type baselineEntry struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// benchLine matches one `go test -bench -benchmem` result line, e.g.
+// reference is the in-run benchmark every row's speed is gated against.
+const reference = "BenchmarkSTFTCompute/fullfft"
+
+// benchLine matches the head of one `go test -bench` result line — the
+// name and the iteration count — leaving the `value unit` pairs, e.g.
 //
-//	BenchmarkSTFTCompute/band-4   1406   1630957 ns/op   116800 B/op   3 allocs/op
+//	BenchmarkStreamFeed1024-4   20   11042354 ns/op   42.91 MB/s   121.6 audio_s/s   2542074 B/op   335 allocs/op
 //
-// The trailing -N is the GOMAXPROCS suffix, stripped so baselines do not
-// depend on the machine's core count.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+[0-9.]+ B/op)?(?:\s+([0-9]+) allocs/op)?`)
+// in the remainder, in whatever order and number the benchmark reports
+// them. The trailing -N is the GOMAXPROCS suffix, stripped so baselines
+// do not depend on the machine's core count.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "baseline file to check against (or write with -update)")
-	tol := flag.Float64("tol", 0.20, "allowed fractional ns/op regression before the gate fails")
+	tol := flag.Float64("tol", 0.20, "allowed fractional regression of ns/op relative to the reference before the gate fails")
 	update := flag.Bool("update", false, "write measured results to the baseline instead of checking")
 	flag.Parse()
 
@@ -90,9 +103,17 @@ func main() {
 	for _, name := range names {
 		b := base.Benchmarks[name]
 		g := got[name]
-		fmt.Printf("ewbenchgate: ok %-40s %12.0f ns/op (baseline %12.0f, %+5.1f%%), %d allocs/op\n",
-			name, g.NsPerOp, b.NsPerOp, 100*(g.NsPerOp-b.NsPerOp)/b.NsPerOp, g.AllocsPerOp)
+		fmt.Printf("ewbenchgate: ok %-40s %+6.1f%% vs reference; %12.0f ns/op (baseline %12.0f, %+5.1f%%), %d allocs/op\n",
+			name, 100*(relative(g, got[reference], b, base.Benchmarks[reference])-1),
+			g.NsPerOp, b.NsPerOp, 100*(g.NsPerOp-b.NsPerOp)/b.NsPerOp, g.AllocsPerOp)
 	}
+}
+
+// relative is how a benchmark's speed moved against the reference: its
+// ns/op ratio to the reference in this run over the same ratio in the
+// baseline (1 = unchanged, 1.25 = 25% slower relative to the reference).
+func relative(got, gotRef, base, baseRef baselineEntry) float64 {
+	return (got.NsPerOp / gotRef.NsPerOp) / (base.NsPerOp / baseRef.NsPerOp)
 }
 
 // parseBench reduces stdin's benchmark lines to per-name minima.
@@ -107,17 +128,15 @@ func parseBench(r io.Reader) (map[string]baselineEntry, error) {
 			continue
 		}
 		name := m[1]
-		ns, err := strconv.ParseFloat(m[2], 64)
+		metrics, err := parseMetrics(m[2])
 		if err != nil {
 			return nil, fmt.Errorf("line %q: %w", sc.Text(), err)
 		}
-		var allocs int64
-		if m[3] != "" {
-			allocs, err = strconv.ParseInt(m[3], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %q: %w", sc.Text(), err)
-			}
+		ns, ok := metrics["ns/op"]
+		if !ok {
+			continue // not a result line
 		}
+		allocs := int64(metrics["allocs/op"])
 		cur, ok := got[name]
 		if !ok || ns < cur.NsPerOp {
 			cur.NsPerOp = ns
@@ -133,11 +152,35 @@ func parseBench(r io.Reader) (map[string]baselineEntry, error) {
 	return got, sc.Err()
 }
 
+// parseMetrics reads the `value unit` pairs of a result line's tail into
+// a map keyed by unit.
+func parseMetrics(tail string) (map[string]float64, error) {
+	fields := strings.Fields(tail)
+	if len(fields)%2 != 0 {
+		return nil, fmt.Errorf("odd number of fields in %q", tail)
+	}
+	out := make(map[string]float64, len(fields)/2)
+	for i := 0; i < len(fields); i += 2 {
+		v, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil {
+			return nil, err
+		}
+		out[fields[i+1]] = v
+	}
+	return out, nil
+}
+
 // check compares measured minima against the baseline. Every baselined
-// benchmark must be present, within the ns/op tolerance, and at exactly
-// its baselined allocation count.
+// benchmark must be present, within the tolerance on its ns/op relative
+// to the in-run reference, and at exactly its baselined allocation
+// count.
 func check(base baseline, got map[string]baselineEntry, tol float64) []string {
 	var failures []string
+	baseRef, okBase := base.Benchmarks[reference]
+	gotRef, okGot := got[reference]
+	if !okBase || !okGot {
+		return []string{fmt.Sprintf("%s: reference benchmark missing from the baseline or the bench output", reference)}
+	}
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
 		names = append(names, name)
@@ -150,9 +193,9 @@ func check(base baseline, got map[string]baselineEntry, tol float64) []string {
 			failures = append(failures, fmt.Sprintf("%s: missing from bench output", name))
 			continue
 		}
-		if limit := want.NsPerOp * (1 + tol); g.NsPerOp > limit {
-			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op exceeds baseline %.0f by %.1f%% (limit %.0f%%)",
-				name, g.NsPerOp, want.NsPerOp, 100*(g.NsPerOp-want.NsPerOp)/want.NsPerOp, tol*100))
+		if rel := relative(g, gotRef, want, baseRef); rel > 1+tol {
+			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op is %.1f%% slower relative to %s than the baseline's %.0f (limit %.0f%%)",
+				name, g.NsPerOp, 100*(rel-1), reference, want.NsPerOp, tol*100))
 		}
 		if g.AllocsPerOp != want.AllocsPerOp {
 			failures = append(failures, fmt.Sprintf("%s: %d allocs/op, baseline %d (allocation counts are gated exactly)",

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -12,6 +13,7 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkSTFTCompute/band-4         	    1406	   1630957 ns/op	  116800 B/op	       3 allocs/op
 BenchmarkSTFTCompute/band-4         	    1428	   1530721 ns/op	  116800 B/op	       3 allocs/op
 BenchmarkSTFTCompute/band-4         	    1440	   1829650 ns/op	  116800 B/op	       3 allocs/op
+BenchmarkSTFTCompute/fullfft-4      	     100	  18000000 ns/op	  116800 B/op	       3 allocs/op
 BenchmarkStreamFeed1024-4           	     100	  10000000 ns/op	     500 B/op	       7 allocs/op
 PASS
 ok  	repro/internal/dsp	8.374s
@@ -28,8 +30,8 @@ func parseSample(t *testing.T) map[string]baselineEntry {
 
 func TestParseBenchTakesMinimaAndStripsProcSuffix(t *testing.T) {
 	got := parseSample(t)
-	if len(got) != 2 {
-		t.Fatalf("parsed %d benchmarks, want 2: %v", len(got), got)
+	if len(got) != 3 {
+		t.Fatalf("parsed %d benchmarks, want 3: %v", len(got), got)
 	}
 	band, ok := got["BenchmarkSTFTCompute/band"]
 	if !ok {
@@ -46,35 +48,93 @@ func TestParseBenchTakesMinimaAndStripsProcSuffix(t *testing.T) {
 	}
 }
 
-func TestCheckPassesWithinTolerance(t *testing.T) {
-	got := parseSample(t)
-	base := baseline{Benchmarks: map[string]baselineEntry{
-		// Measured minimum 1530721 is an 8% regression over this: passes.
-		"BenchmarkSTFTCompute/band": {NsPerOp: 1417000, AllocsPerOp: 3},
-		"BenchmarkStreamFeed1024":   {NsPerOp: 10000000, AllocsPerOp: 7},
-	}}
-	if failures := check(base, got, 0.20); len(failures) != 0 {
-		t.Fatalf("unexpected failures: %v", failures)
+// TestParseBenchReadsEveryMetricPair is the regression for custom
+// metrics sitting between ns/op and allocs/op: the real StreamFeed1024
+// line reports MB/s and audio_s/s first, and its allocation count was
+// once parsed as 0 and baselined so.
+func TestParseBenchReadsEveryMetricPair(t *testing.T) {
+	cases := []struct {
+		line   string
+		ns     float64
+		allocs int64
+	}{
+		{"BenchmarkStreamFeed1024-2   \t       3\t  11042354 ns/op\t  42.91 MB/s\t       121.6 audio_s/s\t 2542074 B/op\t     335 allocs/op", 11042354, 335},
+		{"BenchmarkStreamFeedSteady-2 \t     500\t    812345 ns/op\t        28.00 cols/op\t    9216 B/op\t      10 allocs/op", 812345, 10},
+		{"BenchmarkSTFTBatch/batch16-2\t    4000\t    273794 ns/op", 273794, 0},
+	}
+	for _, c := range cases {
+		got, err := parseBench(strings.NewReader(c.line + "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 {
+			t.Fatalf("%q: parsed %v, want one benchmark", c.line, got)
+		}
+		for name, e := range got {
+			if e.NsPerOp != c.ns || e.AllocsPerOp != c.allocs {
+				t.Errorf("%s: got %v ns/op, %d allocs/op; want %v, %d", name, e.NsPerOp, e.AllocsPerOp, c.ns, c.allocs)
+			}
+		}
 	}
 }
 
+// scaled returns the sample results with every ns/op multiplied by f,
+// except the named rows, which get their own factor.
+func scaled(got map[string]baselineEntry, f float64, rows map[string]float64) map[string]baselineEntry {
+	out := make(map[string]baselineEntry, len(got))
+	for name, e := range got {
+		k, ok := rows[name]
+		if !ok {
+			k = f
+		}
+		e.NsPerOp *= k
+		out[name] = e
+	}
+	return out
+}
+
+// TestCheckPassesWithinTolerance covers runs the relative gate must
+// accept: a host uniformly slower or faster than the baseline's, and a
+// row within tolerance of the reference on a slower host.
+func TestCheckPassesWithinTolerance(t *testing.T) {
+	base := baseline{Benchmarks: parseSample(t)}
+	for name, got := range map[string]map[string]baselineEntry{
+		"unchanged":                         scaled(base.Benchmarks, 1, nil),
+		"uniformly 1.7x slower host":        scaled(base.Benchmarks, 1.7, nil),
+		"uniformly 2x faster host":          scaled(base.Benchmarks, 0.5, nil),
+		"within tolerance on a slower host": scaled(base.Benchmarks, 1.5, map[string]float64{"BenchmarkStreamFeed1024": 1.5 * 1.15}),
+	} {
+		if failures := check(base, got, 0.20); len(failures) != 0 {
+			t.Errorf("%s: unexpected failures: %v", name, failures)
+		}
+	}
+}
+
+// TestCheckFailsOnRegression covers a single row slowing down relative
+// to the reference, on an unchanged and on a faster host.
 func TestCheckFailsOnRegression(t *testing.T) {
-	got := parseSample(t)
-	base := baseline{Benchmarks: map[string]baselineEntry{
-		// Measured minimum 1530721 is a 53% regression over this.
-		"BenchmarkSTFTCompute/band": {NsPerOp: 1000000, AllocsPerOp: 3},
-	}}
-	failures := check(base, got, 0.20)
-	if len(failures) != 1 || !strings.Contains(failures[0], "exceeds baseline") {
-		t.Fatalf("failures = %v, want one ns/op regression", failures)
+	base := baseline{Benchmarks: parseSample(t)}
+	cases := []struct {
+		name, row string
+		got       map[string]baselineEntry
+	}{
+		{"same host", "BenchmarkStreamFeed1024", scaled(base.Benchmarks, 1, map[string]float64{"BenchmarkStreamFeed1024": 1.3})},
+		{"faster host", "BenchmarkSTFTCompute/band", scaled(base.Benchmarks, 0.6, map[string]float64{"BenchmarkSTFTCompute/band": 0.6 * 1.3})},
+	}
+	for _, c := range cases {
+		failures := check(base, c.got, 0.20)
+		if len(failures) != 1 || !strings.HasPrefix(failures[0], c.row+":") || !strings.Contains(failures[0], "slower relative to") {
+			t.Errorf("%s: failures = %v, want one speed failure of %s", c.name, failures, c.row)
+		}
 	}
 }
 
 func TestCheckFailsOnAllocChange(t *testing.T) {
 	got := parseSample(t)
-	base := baseline{Benchmarks: map[string]baselineEntry{
-		"BenchmarkSTFTCompute/band": {NsPerOp: 1600000, AllocsPerOp: 0},
-	}}
+	base := baseline{Benchmarks: scaled(got, 1, nil)}
+	band := base.Benchmarks["BenchmarkSTFTCompute/band"]
+	band.AllocsPerOp = 0
+	base.Benchmarks["BenchmarkSTFTCompute/band"] = band
 	failures := check(base, got, 0.20)
 	if len(failures) != 1 || !strings.Contains(failures[0], "allocs/op") {
 		t.Fatalf("failures = %v, want one allocation failure", failures)
@@ -83,11 +143,20 @@ func TestCheckFailsOnAllocChange(t *testing.T) {
 
 func TestCheckFailsOnMissingBenchmark(t *testing.T) {
 	got := parseSample(t)
-	base := baseline{Benchmarks: map[string]baselineEntry{
-		"BenchmarkGone": {NsPerOp: 100, AllocsPerOp: 0},
-	}}
+	base := baseline{Benchmarks: scaled(got, 1, nil)}
+	base.Benchmarks["BenchmarkGone"] = baselineEntry{NsPerOp: 100}
 	failures := check(base, got, 0.20)
 	if len(failures) != 1 || !strings.Contains(failures[0], "missing") {
 		t.Fatalf("failures = %v, want one missing-benchmark failure", failures)
+	}
+}
+
+func TestCheckFailsWithoutReference(t *testing.T) {
+	got := parseSample(t)
+	base := baseline{Benchmarks: scaled(got, 1, nil)}
+	delete(got, reference)
+	failures := check(base, got, 0.20)
+	if len(failures) != 1 || !strings.Contains(failures[0], fmt.Sprintf("%s: reference", reference)) {
+		t.Fatalf("failures = %v, want one missing-reference failure", failures)
 	}
 }

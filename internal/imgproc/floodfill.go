@@ -1,6 +1,10 @@
 package imgproc
 
-import "fmt"
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+)
 
 // FillHoles closes the "holes" of a binary image: background (0) regions
 // that are not 4-connected to the image border become foreground (1). This
@@ -13,44 +17,176 @@ func FillHoles(bin [][]uint8) ([][]uint8, error) {
 	if err != nil {
 		return nil, err
 	}
-	// reachable marks background pixels 4-connected to the border.
-	reachable := NewMatrixOf[bool](rows, cols)
-	stack := make([][2]int, 0, rows+cols)
-	push := func(r, c int) {
-		if r < 0 || r >= rows || c < 0 || c >= cols {
-			return
-		}
-		if reachable[r][c] || bin[r][c] != 0 {
-			return
-		}
-		reachable[r][c] = true
-		stack = append(stack, [2]int{r, c})
+	flat, out := newFlat[uint8](rows, cols)
+	flatten(flat, bin)
+	var s Scratch
+	s.FillHoles(flat, flat, rows, cols)
+	return out, nil
+}
+
+// flatten copies a rectangular matrix into its row-major flat form.
+func flatten(dst []uint8, m [][]uint8) {
+	for r, row := range m {
+		copy(dst[r*len(row):], row)
 	}
-	for c := 0; c < cols; c++ {
-		push(0, c)
-		push(rows-1, c)
-	}
+}
+
+// Scratch is reusable working memory for the flat binary-image kernels
+// (FillHoles, RemoveSmallComponents). Both label 4-connected regions by
+// runs: each row is split into maximal runs of one value, runs that
+// overlap between adjacent rows are merged in a union-find, and every
+// region is then decided whole. The run tables grow on demand and are
+// kept between calls, so a caller that holds one Scratch runs the
+// kernels without allocating. The zero value is ready to use; a Scratch
+// is not safe for concurrent use.
+type Scratch struct {
+	lo, hi []int32 // column span [lo, hi) of each run, row by row
+	start  []int32 // start[r] indexes row r's first run; start[rows] = run count
+	parent []int32 // union-find forest over runs
+	aux    []int32 // per-root result: border flag or pixel count
+}
+
+// collect splits each row of src into maximal runs of value v and merges
+// the runs that touch across adjacent rows; aux is zeroed per run.
+func (s *Scratch) collect(src []uint8, rows, cols int, v uint8) {
+	perRow := (cols + 1) / 2               // most runs one row can hold
+	word := uint64(v) * 0x0101010101010101 // eight pixels of value v
+	s.start = grow(s.start[:0], rows+1)[:rows+1]
+	// Size fresh tables for a few runs per row up front.
+	s.lo = grow(s.lo[:0], 2*rows+perRow)
+	s.hi = grow(s.hi[:0], 2*rows+perRow)
 	for r := 0; r < rows; r++ {
-		push(r, 0)
-		push(r, cols-1)
+		n := len(s.lo)
+		s.start[r] = int32(n)
+		// Amortized: grows only when this row could overflow capacity.
+		lo, hi := grow(s.lo, perRow)[:n+perRow], grow(s.hi, perRow)[:n+perRow]
+		row := src[r*cols : (r+1)*cols]
+		for c := 0; c < cols; {
+			i := bytes.IndexByte(row[c:], v)
+			if i < 0 {
+				break
+			}
+			c += i
+			lo[n] = int32(c)
+			for c+8 <= cols && binary.LittleEndian.Uint64(row[c:]) == word {
+				c += 8
+			}
+			for c < cols && row[c] == v {
+				c++
+			}
+			hi[n] = int32(c)
+			n++
+		}
+		s.lo, s.hi = lo[:n], hi[:n]
 	}
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		push(p[0]-1, p[1])
-		push(p[0]+1, p[1])
-		push(p[0], p[1]-1)
-		push(p[0], p[1]+1)
+	k := len(s.lo)
+	s.start[rows] = int32(k)
+	s.parent = grow(s.parent[:0], k)[:k]
+	s.aux = grow(s.aux[:0], k)[:k]
+	for i := range s.parent {
+		s.parent[i], s.aux[i] = int32(i), 0
 	}
-	out := NewMatrixOf[uint8](rows, cols)
-	for r := range out {
-		for c := 0; c < cols; c++ {
-			if bin[r][c] == 1 || !reachable[r][c] {
-				out[r][c] = 1
+	for r := 1; r < rows; r++ {
+		i, iEnd := s.start[r-1], s.start[r]
+		j, jEnd := iEnd, s.start[r+1]
+		for i < iEnd && j < jEnd {
+			if s.lo[i] < s.hi[j] && s.lo[j] < s.hi[i] {
+				s.union(i, j)
+			}
+			if s.hi[i] < s.hi[j] {
+				i++
+			} else {
+				j++
 			}
 		}
 	}
-	return out, nil
+}
+
+// grow returns s with room for n more elements, keeping its contents.
+// It allocates only the new backing array: slices.Grow also allocates a
+// temporary in race-instrumented builds, where the compiler does not
+// fuse its append of make.
+func grow(s []int32, n int) []int32 {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	t := make([]int32, len(s), 2*cap(s)+n)
+	copy(t, s)
+	return t
+}
+
+// find returns the root of run x, halving the path on the way.
+func (s *Scratch) find(x int32) int32 {
+	p := s.parent
+	for p[x] != x {
+		p[x] = p[p[x]]
+		x = p[x]
+	}
+	return x
+}
+
+// union merges the regions of runs a and b under the lower root.
+func (s *Scratch) union(a, b int32) {
+	ra, rb := s.find(a), s.find(b)
+	switch {
+	case ra < rb:
+		s.parent[rb] = ra
+	case rb < ra:
+		s.parent[ra] = rb
+	}
+}
+
+// FillHoles writes the hole-filled image of src into dst; both are
+// rows×cols, row-major, and dst may alias src. A pixel of dst is 1 unless
+// it is background (0) in src and 4-connected to the image border through
+// background.
+//
+// ew:hotpath — the streaming enhancer runs this over its whole window
+// on every pass.
+func (s *Scratch) FillHoles(dst, src []uint8, rows, cols int) {
+	s.collect(src, rows, cols, 0)
+	for r := 0; r < rows; r++ {
+		for k := s.start[r]; k < s.start[r+1]; k++ {
+			if r == 0 || r == rows-1 || s.lo[k] == 0 || int(s.hi[k]) == cols {
+				s.aux[s.find(k)] = 1
+			}
+		}
+	}
+	for r := 0; r < rows; r++ {
+		row := dst[r*cols : (r+1)*cols]
+		for c := range row {
+			row[c] = 1
+		}
+		for k := s.start[r]; k < s.start[r+1]; k++ {
+			if s.aux[s.find(k)] == 1 {
+				clear(row[s.lo[k]:s.hi[k]])
+			}
+		}
+	}
+}
+
+// RemoveSmallComponents writes into dst the foreground (1) pixels of src
+// whose 4-connected component has at least minSize pixels; every other
+// pixel becomes 0. Both images are rows×cols, row-major; dst may alias
+// src.
+//
+// ew:hotpath — see FillHoles.
+func (s *Scratch) RemoveSmallComponents(dst, src []uint8, rows, cols, minSize int) {
+	s.collect(src, rows, cols, 1)
+	for k := range s.lo {
+		s.aux[s.find(int32(k))] += s.hi[k] - s.lo[k]
+	}
+	for r := 0; r < rows; r++ {
+		row := dst[r*cols : (r+1)*cols]
+		clear(row)
+		for k := s.start[r]; k < s.start[r+1]; k++ {
+			if int(s.aux[s.find(k)]) >= minSize {
+				for c := s.lo[k]; c < s.hi[k]; c++ {
+					row[c] = 1
+				}
+			}
+		}
+	}
 }
 
 // Component is one 4-connected foreground region of a binary image.
@@ -82,9 +218,6 @@ func ConnectedComponents(bin [][]uint8) ([][]int, []Component, error) {
 			id := len(comps) + 1
 			comp := Component{Label: id, MinRow: r, MaxRow: r, MinCol: c, MaxCol: c}
 			labels[r][c] = id
-			// ew:allow hotprop: append into stack[:0] reuses the capacity
-			// retained from every previous component; it allocates at most
-			// once past the hoisted 64-slot seed.
 			stack = append(stack[:0], [2]int{r, c})
 			for len(stack) > 0 {
 				p := stack[len(stack)-1]
@@ -109,17 +242,10 @@ func ConnectedComponents(bin [][]uint8) ([][]int, []Component, error) {
 					}
 					if bin[rr][cc] == 1 && labels[rr][cc] == 0 {
 						labels[rr][cc] = id
-						// ew:allow hotprop: flood-fill frontier growth is
-						// amortized — each pixel is pushed at most once per
-						// call, so total appends are bounded by rows·cols and
-						// the backing array doubles O(log) times, not per
-						// iteration.
 						stack = append(stack, [2]int{rr, cc})
 					}
 				}
 			}
-			// ew:allow hotprop: one append per discovered component, not per
-			// pixel; denoised spectrogram windows hold a handful of blobs.
 			comps = append(comps, comp)
 		}
 	}
@@ -130,24 +256,14 @@ func ConnectedComponents(bin [][]uint8) ([][]int, []Component, error) {
 // pixels, returning a new binary matrix. It is used by the pipeline to
 // discard isolated bursting-noise specks that survive thresholding.
 func RemoveSmallComponents(bin [][]uint8, minSize int) ([][]uint8, error) {
-	labels, comps, err := ConnectedComponents(bin)
+	rows, cols, err := dimsU8(bin)
 	if err != nil {
 		return nil, err
 	}
-	keep := make(map[int]bool, len(comps))
-	for _, c := range comps {
-		if c.Size >= minSize {
-			keep[c.Label] = true
-		}
-	}
-	out := NewMatrixOf[uint8](len(bin), len(bin[0]))
-	for r := range bin {
-		for c := range bin[r] {
-			if bin[r][c] == 1 && keep[labels[r][c]] {
-				out[r][c] = 1
-			}
-		}
-	}
+	flat, out := newFlat[uint8](rows, cols)
+	flatten(flat, bin)
+	var s Scratch
+	s.RemoveSmallComponents(flat, flat, rows, cols, minSize)
 	return out, nil
 }
 

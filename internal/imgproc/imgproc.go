@@ -12,7 +12,6 @@ package imgproc
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Dims returns the (rows, cols) of a rectangular matrix, or an error if the
@@ -45,12 +44,19 @@ func NewMatrix(rows, cols int) [][]float64 {
 // of rows+1, which keeps the per-flush enhancement chain off the
 // hot-path allocation budget.
 func NewMatrixOf[T any](rows, cols int) [][]T {
-	backing := make([]T, rows*cols)
+	_, m := newFlat[T](rows, cols)
+	return m
+}
+
+// newFlat is NewMatrixOf that also returns the row-major backing slice,
+// for the flat kernels.
+func newFlat[T any](rows, cols int) ([]T, [][]T) {
+	flat := make([]T, rows*cols)
 	m := make([][]T, rows)
-	for r := range m {
+	for r, backing := 0, flat; r < rows; r++ {
 		m[r], backing = backing[:cols:cols], backing[cols:]
 	}
-	return m
+	return flat, m
 }
 
 // Clone deep-copies a matrix.
@@ -71,25 +77,15 @@ func Median3x3(m [][]float64) ([][]float64, error) {
 		return nil, err
 	}
 	out := NewMatrix(rows, cols)
-	buf := make([]float64, 0, 9)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			buf = buf[:0]
-			for dr := -1; dr <= 1; dr++ {
-				for dc := -1; dc <= 1; dc++ {
-					rr, cc := r+dr, c+dc
-					if rr < 0 || rr >= rows || cc < 0 || cc >= cols {
-						continue
-					}
-					// ew:allow hotprop: buf is reset to buf[:0] each pixel and
-					// holds at most the 9 taps its hoisted capacity covers, so
-					// this append never grows the backing array.
-					buf = append(buf, m[rr][cc])
-				}
-			}
-			sort.Float64s(buf)
-			out[r][c] = buf[len(buf)/2]
+	for r := range m {
+		var prev, next []float64
+		if r > 0 {
+			prev = m[r-1]
 		}
+		if r+1 < rows {
+			next = m[r+1]
+		}
+		MedianRow(out[r], prev, m[r], next)
 	}
 	return out, nil
 }
@@ -131,39 +127,20 @@ func GaussianBlur(m [][]float64, size int, sigma float64) ([][]float64, error) {
 		return nil, err
 	}
 	half := size / 2
-	// Horizontal pass.
 	tmp := NewMatrix(rows, cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			sum, wsum := 0.0, 0.0
-			for i := -half; i <= half; i++ {
-				cc := c + i
-				if cc < 0 || cc >= cols {
-					continue
-				}
-				w := k[i+half]
-				sum += w * m[r][cc]
-				wsum += w
-			}
-			tmp[r][c] = sum / wsum
-		}
+	for r := range m {
+		GaussianRow(tmp[r], m[r], k)
 	}
-	// Vertical pass.
 	out := NewMatrix(rows, cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			sum, wsum := 0.0, 0.0
-			for i := -half; i <= half; i++ {
-				rr := r + i
-				if rr < 0 || rr >= rows {
-					continue
-				}
-				w := k[i+half]
-				sum += w * tmp[rr][c]
-				wsum += w
+	taps := make([][]float64, size)
+	for r := range out {
+		for i := range taps {
+			taps[i] = nil
+			if rr := r + i - half; rr >= 0 && rr < rows {
+				taps[i] = tmp[rr]
 			}
-			out[r][c] = sum / wsum
 		}
+		GaussianColumn(out[r], taps, k)
 	}
 	return out, nil
 }

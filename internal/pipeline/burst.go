@@ -30,70 +30,15 @@ func DefaultBurstConfig() BurstConfig {
 	return BurstConfig{Enabled: true, OccupancyThreshold: 0.40, MaxFrames: 16}
 }
 
-// suppressBursts zeroes-and-interpolates burst-contaminated frames of the
-// thresholded magnitude matrix in place. It returns the indices of the
-// suspect frames (repaired or not), which Recognize uses to flag
-// detections whose segments were contaminated — the "discard signal
-// segments containing bursting noises" half of §VII-B.
-func suppressBursts(m [][]float64, cfg BurstConfig) []int {
-	if !cfg.Enabled || len(m) == 0 {
-		return nil
+// limits resolves the zero-value defaults: the occupancy fraction that
+// makes a frame burst-suspect and the longest run still repaired.
+func (c BurstConfig) limits() (occupancy float64, maxRun int) {
+	occupancy, maxRun = c.OccupancyThreshold, c.MaxFrames
+	if occupancy == 0 {
+		occupancy = 0.45
 	}
-	occTh := cfg.OccupancyThreshold
-	if occTh == 0 {
-		occTh = 0.45
-	}
-	maxRun := cfg.MaxFrames
 	if maxRun == 0 {
 		maxRun = 16
 	}
-	cols := len(m[0])
-	suspect := make([]bool, len(m))
-	for f, row := range m {
-		active := 0
-		for _, v := range row {
-			if v > 0 {
-				active++
-			}
-		}
-		suspect[f] = float64(active) >= occTh*float64(cols)
-	}
-	var frames []int
-	for f := 0; f < len(m); {
-		if !suspect[f] {
-			f++
-			continue
-		}
-		run := f
-		for run < len(m) && suspect[run] {
-			run++
-		}
-		for k := f; k < run; k++ {
-			// ew:allow hotprop: grows only while a burst is present — nil in
-			// the common clean-window case, bounded by the window length
-			// otherwise; preallocating would charge every flush for the
-			// rare contaminated one.
-			frames = append(frames, k)
-		}
-		if run-f <= maxRun {
-			lo, hi := f-1, run // clean neighbors
-			for k := f; k < run; k++ {
-				for b := 0; b < cols; b++ {
-					var left, right float64
-					if lo >= 0 {
-						left = m[lo][b]
-					}
-					if hi < len(m) {
-						right = m[hi][b]
-					}
-					// Linear interpolation across the burst gap.
-					span := float64(hi - lo)
-					t := float64(k-lo) / span
-					m[k][b] = left*(1-t) + right*t
-				}
-			}
-		}
-		f = run
-	}
-	return frames
+	return occupancy, maxRun
 }

@@ -94,6 +94,8 @@ type Engine struct {
 	// by Stroke.Index(). By default these are the analytic templates;
 	// SetTemplateLibrary installs pipeline-calibrated replacements.
 	library [stroke.NumStrokes][]float64
+	// gauss is the normalized Gaussian smoothing kernel.
+	gauss []float64
 	// KeepStages, when set, retains intermediate matrices in each
 	// Recognition (costs memory; off by default).
 	KeepStages bool
@@ -116,7 +118,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	e := &Engine{cfg: cfg, stft: st, templates: ts}
+	gauss, err := imgproc.GaussianKernel(cfg.GaussianKernel, 0)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
+	}
+	e := &Engine{cfg: cfg, stft: st, templates: ts, gauss: gauss}
 	for _, s := range stroke.AllStrokes() {
 		e.library[s.Index()] = ts.Profile(s)
 	}
@@ -229,10 +235,11 @@ func (e *Engine) Recognize(sig *audio.Signal) (*Recognition, error) {
 	return rec, nil
 }
 
-// enhance applies the paper's cleaning chain to the raw magnitude matrix,
-// returning the binary image and (when stages are kept) the pre-binarize
-// denoised matrix. The static-background template is the mean of the
-// initial StaticFrames frames.
+// enhance applies the paper's cleaning chain to the raw magnitude matrix
+// with a cold enhancer, returning the binary image, (when stages are
+// kept) the normalized denoised matrix, and the burst-suspect frames. The
+// static-background template is the mean of the initial StaticFrames
+// frames.
 func (e *Engine) enhance(raw [][]float64) ([][]uint8, [][]float64, []int, error) {
 	if len(raw) < e.cfg.StaticFrames {
 		return nil, nil, nil, fmt.Errorf("spectrogram has %d frames, need at least %d static frames",
@@ -248,56 +255,13 @@ func (e *Engine) enhance(raw [][]float64) ([][]uint8, [][]float64, []int, error)
 	for b := range static {
 		static[b] /= float64(e.cfg.StaticFrames)
 	}
-	return e.enhanceStages(raw, static)
-}
-
-// enhanceColumns is the streaming entry point: the static template is
-// supplied by the caller (estimated once at stream start). The input is
-// not mutated.
-func (e *Engine) enhanceColumns(raw [][]float64, static []float64) ([][]uint8, []int, error) {
-	bin, _, bursts, err := e.enhanceStages(raw, static)
-	return bin, bursts, err
-}
-
-// enhanceStages runs median filter → spectral subtraction → energy gate →
-// Gaussian blur → zero-one normalization → binarization → flood fill →
-// speck removal.
-func (e *Engine) enhanceStages(raw [][]float64, static []float64) ([][]uint8, [][]float64, []int, error) {
-	m, err := imgproc.Median3x3(raw)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for _, row := range m {
-		for b := range row {
-			row[b] -= static[b]
-			if row[b] < 0 {
-				row[b] = 0
-			}
-		}
-	}
-	imgproc.Threshold(m, e.cfg.EnergyThreshold)
-	bursts := suppressBursts(m, e.cfg.Burst)
-	m, err = imgproc.GaussianBlur(m, e.cfg.GaussianKernel, 0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	imgproc.Normalize01(m)
-	bin := imgproc.Binarize(m, e.cfg.BinarizeThreshold)
-	bin, err = imgproc.FillHoles(bin)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if e.cfg.MinComponentSize > 1 {
-		bin, err = imgproc.RemoveSmallComponents(bin, e.cfg.MinComponentSize)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
+	var en enhancer
+	bin := en.run(e, raw, static)
 	var denoised [][]float64
 	if e.KeepStages {
-		denoised = m
+		denoised = en.denoised()
 	}
-	return bin, denoised, bursts, nil
+	return bin, denoised, en.burstFrames(), nil
 }
 
 // overlapsBurst reports whether any burst-suspect frame falls inside the

@@ -46,9 +46,10 @@ func samplesToPCM16(samples []float64) []byte {
 
 // FuzzStreamFeed asserts the streaming chain's chunking invariance: for
 // any audio and any split of it into chunks, incremental feeding yields
-// the same strokes as one whole-buffer feed, and no input — short,
-// odd-length, silent, or over the residue cap — panics or corrupts the
-// stream.
+// the same strokes as one whole-buffer feed, every pass of the chunked
+// stream's incremental enhancer matches the whole-window chain within
+// its work bound, and no input — short, odd-length, silent, or over the
+// residue cap — panics or corrupts the stream.
 func FuzzStreamFeed(f *testing.F) {
 	// One engine per stream; fuzz execs run sequentially per worker
 	// process, and each exec Resets before use.
@@ -68,6 +69,7 @@ func FuzzStreamFeed(f *testing.F) {
 	chunked := NewStream(engChunk)
 	capped := NewStream(engCapped)
 	capped.MaxChunk = 4096
+	oracle := attachOracle(f, chunked, true)
 
 	// Seed corpus: a real two-stroke recording (truncated to the exec
 	// budget), plus degenerate shapes the invariant must survive.
@@ -101,6 +103,7 @@ func FuzzStreamFeed(f *testing.F) {
 		// pathological seed cannot make one exec quadratic).
 		rng := rand.New(rand.NewSource(int64(splitSeed)))
 		chunked.Reset()
+		oracle.t, oracle.lastSeen = t, -1
 		var got []Detection
 		var gotErr error
 		for off := 0; off < len(samples) && gotErr == nil; {

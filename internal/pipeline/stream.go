@@ -30,8 +30,12 @@ const DefaultMaxChunk = 1 << 20
 // as the batch pipeline requires.
 //
 // A Stream keeps a bounded window of spectrogram columns (MaxWindow
-// frames); enhancement and contour extraction re-run over the window on
-// each feed, which mirrors the prototype's process-on-buffer-full loop.
+// frames). Enhancement is incremental: a per-column cache, compacted with
+// the window, lets each pass recompute only the columns a feed added
+// plus a fixed horizon behind them, so a feed costs O(new columns) in the
+// per-column stages; the window-global steps (normalization span, hole
+// filling, speck removal) and contour extraction still cover the whole
+// window, exactly as a from-scratch pass would.
 type Stream struct {
 	eng *Engine
 	// MaxWindow bounds the retained spectrogram columns; 0 means 1024
@@ -49,18 +53,25 @@ type Stream struct {
 	MaxChunk int
 
 	// testFrameHook, when set, runs before each frame extraction in
-	// Feed; a non-nil error aborts the hop loop. Tests use it to reach
-	// Feed's error exits, which are otherwise unreachable in-process
-	// (FrameColumn always sees exact-size frames and pushColumn cannot
-	// fail), to pin that accrued stage time survives an error return.
+	// Feed and Flush; a non-nil error aborts the extraction. Tests use it
+	// to reach the error exits, which are otherwise unreachable
+	// in-process (FrameColumn always sees exact-size frames and
+	// pushColumn cannot fail), to pin that accrued stage time survives an
+	// error return.
 	testFrameHook func() error
+	// testStageHook, when set, runs at the end of each timed stage of a
+	// detection pass ("enhance", "profile", "segment"); a non-nil error
+	// fails the pass there, for the same purpose.
+	testStageHook func(stage string) error
 
-	samples     []float64   // residue not yet consumed into frames
+	samples     []float64   // residue not yet consumed into frames, a window into sampleBuf
+	sampleBuf   []float64   // backing store of samples, refilled from its front
 	columns     [][]float64 // raw magnitude columns in the window
 	frameOffset int         // absolute index of columns[0]
 	static      []float64   // spectral-subtraction template
 	staticAccum [][]float64 // first frames accumulated for the template
 	emittedEnd  int         // absolute frame index before which detections were emitted
+	enh         enhancer    // per-column enhancement cache, aligned with columns
 	timings     StageTimings
 }
 
@@ -79,24 +90,29 @@ func (s *Stream) FramesSeen() int { return s.frameOffset + len(s.columns) }
 func (s *Stream) Engine() *Engine { return s.eng }
 
 // Timings returns the accumulated per-stage processing time since the
-// stream was created or last Reset. The streaming chain re-runs
-// enhancement over its window each feed, so these measure real serving
-// cost rather than the batch pipeline's one-pass cost.
+// stream was created or last Reset, including the time of calls that
+// failed. They measure real serving cost: each feed pays incremental
+// enhancement plus the window-wide steps and contour extraction, not the
+// batch pipeline's one-pass cost.
 func (s *Stream) Timings() StageTimings { return s.timings }
 
 // Reset clears all per-recording state — buffered samples, spectrogram
 // window, the static-background template, and emission bookkeeping — so
 // the stream (and its engine's FFT machinery) can be reused for a new
-// recording without reallocation. Tuning fields (MaxWindow,
-// AdaptiveStatic, MaxChunk) are preserved. A reset stream behaves
-// identically to a freshly constructed one.
+// recording. Tuning fields (MaxWindow, AdaptiveStatic, MaxChunk) are
+// preserved. Memory that scales with the window — the columns and their
+// enhancement cache — is released, so an idle pooled stream holds only
+// fixed-size buffers. A reset stream behaves identically to a freshly
+// constructed one.
 func (s *Stream) Reset() {
-	s.samples = s.samples[:0]
+	s.samples = s.sampleBuf[:0]
+	clear(s.columns)
 	s.columns = s.columns[:0]
 	s.frameOffset = 0
 	s.static = nil
 	s.staticAccum = nil
 	s.emittedEnd = 0
+	s.enh.reset()
 	s.timings = StageTimings{}
 }
 
@@ -164,6 +180,16 @@ func (s *Stream) Accumulate(chunk []float64) error {
 		return fmt.Errorf("%w: %d buffered samples (cap %d)",
 			ErrOversizedChunk, total, s.maxChunk())
 	}
+	if need := len(s.samples) + len(chunk); need > cap(s.samples) {
+		// Slide the residue back to the front of its buffer instead of
+		// letting append reallocate: the buffer stops growing once it holds
+		// the largest residue plus chunk, so steady feeding allocates
+		// nothing here.
+		if need > cap(s.sampleBuf) {
+			s.sampleBuf = make([]float64, 0, need+need/4)
+		}
+		s.samples = append(s.sampleBuf[:0], s.samples...)
+	}
 	s.samples = append(s.samples, chunk...)
 	return nil
 }
@@ -228,28 +254,43 @@ func (s *Stream) AcceptColumns(cols [][]float64) error {
 // share of the shared batch pass.
 func (s *Stream) AccrueSTFT(d time.Duration) { s.timings.STFT += d }
 
-// Detect runs the enhancement chain over the current window and returns
-// newly finalized detections — the tail half of Feed, for callers that
-// committed columns via AcceptColumns.
+// Detect brings enhancement up to date with the current window and
+// returns newly finalized detections — the tail half of Feed, for
+// callers that committed columns via AcceptColumns.
 func (s *Stream) Detect() ([]Detection, error) { return s.process(false) }
 
 // Flush processes whatever remains (zero-padding the final partial frame)
 // and emits any still-open detections. The stream remains usable.
 func (s *Stream) Flush() ([]Detection, error) {
-	cfg := s.eng.cfg.STFT
-	if len(s.samples) > cfg.HopSize {
-		frame := make([]float64, cfg.FFTSize)
-		copy(frame, s.samples)
-		col, err := s.eng.stft.FrameColumn(frame)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: stream flush: %w", err)
-		}
-		s.samples = s.samples[:0]
-		if err := s.pushColumn(col); err != nil {
-			return nil, err
-		}
+	if err := s.flushFrame(); err != nil {
+		return nil, err
 	}
 	return s.process(true)
+}
+
+// flushFrame extracts the zero-padded final partial frame, when the
+// residue holds more than a hop, accruing its cost to the STFT stage on
+// every exit.
+func (s *Stream) flushFrame() error {
+	cfg := s.eng.cfg.STFT
+	if len(s.samples) <= cfg.HopSize {
+		return nil
+	}
+	t0 := time.Now()
+	defer func() { s.timings.STFT += time.Since(t0) }()
+	if s.testFrameHook != nil {
+		if err := s.testFrameHook(); err != nil {
+			return err
+		}
+	}
+	frame := make([]float64, cfg.FFTSize)
+	copy(frame, s.samples)
+	col, err := s.eng.stft.FrameColumn(frame)
+	if err != nil {
+		return fmt.Errorf("pipeline: stream flush: %w", err)
+	}
+	s.samples = s.samples[:0]
+	return s.pushColumn(col)
 }
 
 func (s *Stream) pushColumn(col []float64) error {
@@ -284,6 +325,7 @@ func (s *Stream) pushColumn(col []float64) error {
 		if drop > 0 {
 			s.columns = s.columns[drop:]
 			s.frameOffset += drop
+			s.enh.drop(drop)
 		}
 	}
 	return nil
@@ -293,32 +335,39 @@ func (s *Stream) pushColumn(col []float64) error {
 // before it is considered final (the quiet run plus smear).
 const emitSafety = 14
 
-// process runs the enhancement chain over the current window and emits
-// newly finalized detections. When final is true, open segments are
-// emitted regardless of the safety margin.
+// process brings enhancement up to date with the window, extracts the
+// contour and segments it, and emits newly finalized detections. When
+// final is true, open segments are emitted regardless of the safety
+// margin. Each stage's time accrues whether or not it fails.
 func (s *Stream) process(final bool) ([]Detection, error) {
 	if s.static == nil || len(s.columns) < s.eng.cfg.StaticFrames+4 {
 		return nil, nil
 	}
-	// Enhancement over the window with the stream's static template.
 	t0 := time.Now()
-	bin, bursts, err := s.eng.enhanceColumns(s.columns, s.static)
+	bin := s.enh.run(s.eng, s.columns, s.static)
+	err := s.stageHook("enhance")
+	s.timings.Enhancement += time.Since(t0)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: stream enhance: %w", err)
 	}
-	s.timings.Enhancement += time.Since(t0)
 	t0 = time.Now()
 	profile, err := mvce.Extract(bin, s.eng.cfg.mvceConfig())
+	if err == nil {
+		err = s.stageHook("profile")
+	}
+	s.timings.Profile += time.Since(t0)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: stream contour: %w", err)
 	}
-	s.timings.Profile += time.Since(t0)
 	t0 = time.Now()
 	segs, err := segment.Detect(profile, s.eng.cfg.Segment)
+	if err == nil {
+		err = s.stageHook("segment")
+	}
+	s.timings.Segmentation += time.Since(t0)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: stream segment: %w", err)
 	}
-	s.timings.Segmentation += time.Since(t0)
 	if s.AdaptiveStatic {
 		s.adaptStatic(bin)
 	}
@@ -344,13 +393,21 @@ func (s *Stream) process(final bool) ([]Detection, error) {
 			return nil, fmt.Errorf("pipeline: stream classify: %w", err)
 		}
 		det.Segment = segment.Segment{Start: absStart, End: absEnd}
-		det.Contaminated = overlapsBurst(sg, bursts)
+		det.Contaminated = s.enh.burstIn(sg.Start, sg.End)
 		// ew:allow hotprop: one append per classified stroke per flush —
 		// detections are user-scale events, not per-column work.
 		out = append(out, det)
 		s.emittedEnd = absEnd + 1
 	}
 	return out, nil
+}
+
+// stageHook runs testStageHook, when set.
+func (s *Stream) stageHook(stage string) error {
+	if s.testStageHook == nil {
+		return nil
+	}
+	return s.testStageHook(stage)
 }
 
 // staticAdaptRate is the per-quiet-frame EMA coefficient for adaptive
@@ -360,7 +417,8 @@ const staticAdaptRate = 0.03
 // adaptStatic folds the most recent quiet (no-foreground) frames of the
 // window into the subtraction template with a slow exponential moving
 // average. Only trailing quiet frames are used so a stroke in progress
-// never leaks into the template.
+// never leaks into the template. A template change invalidates the
+// enhancement cache: every column's subtraction changed.
 func (s *Stream) adaptStatic(bin [][]uint8) {
 	for i := len(bin) - 1; i >= 0 && i >= len(bin)-4; i-- {
 		active := 0
@@ -376,5 +434,6 @@ func (s *Stream) adaptStatic(bin [][]uint8) {
 		for b := range s.static {
 			s.static[b] = (1-staticAdaptRate)*s.static[b] + staticAdaptRate*raw[b]
 		}
+		s.enh.invalidate()
 	}
 }

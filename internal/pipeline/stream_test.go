@@ -17,6 +17,12 @@ import (
 // harness can seed its corpus with the same audio.
 func synthesizeSequence(t testing.TB, seq stroke.Sequence) *audio.Signal {
 	t.Helper()
+	return synthesizeSequenceIn(t, seq, acoustic.StandardEnvironment(acoustic.MeetingRoom))
+}
+
+// synthesizeSequenceIn is synthesizeSequence in the given environment.
+func synthesizeSequenceIn(t testing.TB, seq stroke.Sequence, env acoustic.Environment) *audio.Signal {
+	t.Helper()
 	var parts []geom.Trajectory
 	prev, err := stroke.StartPoint(seq[0], stroke.ShapeParams{})
 	if err != nil {
@@ -55,7 +61,7 @@ func synthesizeSequence(t testing.TB, seq stroke.Sequence) *audio.Signal {
 	}
 	sc := &acoustic.Scene{
 		Device:     acoustic.Mate9(),
-		Env:        acoustic.StandardEnvironment(acoustic.MeetingRoom),
+		Env:        env,
 		Reflectors: acoustic.HandReflectors(finger),
 		Duration:   finger.Duration(),
 		Seed:       9,
@@ -276,10 +282,8 @@ func TestStreamAdaptiveStatic(t *testing.T) {
 			}
 		}
 		// Inspect the final window's profile tail directly.
-		bin, _, err := eng.enhanceColumns(stream.columns, stream.static)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var cold enhancer
+		bin := cold.run(eng, stream.columns, stream.static)
 		profile, err := mvceExtractForTest(eng, bin)
 		if err != nil {
 			t.Fatal(err)

@@ -200,8 +200,14 @@ func Detect(profile []float64, cfg Config) ([]Segment, error) {
 			end = n - 1
 		}
 		if end-start+1 >= minFrames && start <= end {
-			// ew:allow hotprop: one append per detected stroke — a few per
-			// window at most, not per-frame work.
+			if segs == nil {
+				// ew:allow hotprop: once per call — sized to the most
+				// segments of at least minFrames the rest of the profile
+				// can hold, so the appends below never grow it and a pass
+				// allocates once however many strokes its window holds.
+				segs = make([]Segment, 0, (n-start)/max(minFrames, 1)+1)
+			}
+			// ew:allow hotprop: within the capacity reserved above.
 			segs = append(segs, Segment{Start: start, End: end})
 		}
 		i = end + 1
