@@ -2,9 +2,9 @@
 # serving code. `make ci` is what every PR must keep green.
 GO ?= go
 
-.PHONY: ci vet lint lint-fast build test race fuzz-smoke metricsz-smoke ws-smoke bench-smoke bench-baseline batch-smoke stress bench soak-smoke soak
+.PHONY: ci vet lint lint-fast build test race fuzz-smoke metricsz-smoke ws-smoke bench-smoke bench-baseline stress bench soak-smoke soak
 
-ci: vet lint build test race fuzz-smoke metricsz-smoke ws-smoke bench-smoke batch-smoke soak-smoke
+ci: vet lint build test race fuzz-smoke metricsz-smoke ws-smoke bench-smoke soak-smoke
 
 vet:
 	$(GO) vet ./...
@@ -56,17 +56,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameRead -fuzztime 5s ./internal/ws
 	$(GO) test -run '^$$' -fuzz FuzzBandTransform -fuzztime 5s ./internal/dsp
 
-# The spectral-engine and streaming-feed benchmarks the serving path
-# depends on, checked against the committed baseline
-# (BENCH_baseline.json): a row whose ns/op, divided by the same run's
-# BenchmarkSTFTCompute/fullfft, grew >20% over the baseline's ratio fails
-# the build, and so does any allocs/op change — so a slower or faster
-# host alone cannot move the verdict. Three short counts per benchmark,
+# The STFT and streaming-feed benchmarks the serving path depends on,
+# checked against the committed baseline (BENCH_baseline.json): a row
+# whose ns/op, divided by the same run's BenchmarkSTFTCompute/fullfft,
+# grew >20% over the baseline's ratio fails the build, and so does any
+# allocs/op change — so a slower or faster host alone cannot move the
+# verdict. Three short counts per benchmark,
 # in two passes a minute apart; ewbenchgate gates on the per-benchmark
 # minimum so shared-machine noise, including a host that drops to a
 # slower speed for tens of seconds, cannot fail a healthy build. The
 # steady-state feed runs a fixed 200 feeds so its allocs/op is exact.
-BENCH_PASS = $(GO) test -run '^$$' -bench 'BenchmarkSTFTCompute|BenchmarkSTFTBatch' -benchmem -benchtime 0.3s -count 3 ./internal/dsp && \
+BENCH_PASS = $(GO) test -run '^$$' -bench 'BenchmarkSTFTCompute' -benchmem -benchtime 0.3s -count 3 ./internal/dsp && \
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamFeed1024$$' -benchmem -benchtime 0.3s -count 3 . && \
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamFeedSteady$$' -benchmem -benchtime 200x -count 3 .
 BENCH_SMOKE = { $(BENCH_PASS) && $(BENCH_PASS); }
@@ -78,16 +78,6 @@ bench-smoke:
 # the baseline diff should land in the same commit as its cause.
 bench-baseline:
 	$(BENCH_SMOKE) | $(GO) run ./cmd/ewbenchgate -update
-
-# End-to-end smoke of the batch-collector ingest path: the smoke
-# scenario matrix replayed with the per-shard STFT batch collectors
-# enabled, both ingest phases held to the same /metricsz bands as
-# soak-smoke. Detections must match the per-worker path bit for bit
-# (the stress equivalence test pins that); this target proves the
-# batched service also holds the health bands under real recorded
-# traffic.
-batch-smoke:
-	$(GO) run ./cmd/ewload -scenario smoke -soak 2s -writers 4 -stft-batch 16
 
 # The long-running adversarial soak: the stress suite with its goroutine
 # and iteration counts multiplied (see internal/serve/stress).

@@ -3,8 +3,10 @@
 // to their minimum (the least-noisy estimate on a shared machine), and
 // compares the result against a committed baseline file. The gate fails
 // when any baselined benchmark slows down by more than the tolerance,
-// changes its allocation count, or is missing from the input — a silent
-// drop must not read as a pass.
+// changes its allocation count, or is missing from the input, when the
+// input has a benchmark the baseline lacks, and when a result line
+// carries no allocs/op (the run lost -benchmem) — a silent drop, an
+// ungated row or an unread allocation count must not read as a pass.
 //
 // Speed is gated relative to a reference benchmark measured in the same
 // run (the full-FFT STFT, code the serving path no longer touches): a
@@ -136,7 +138,12 @@ func parseBench(r io.Reader) (map[string]baselineEntry, error) {
 		if !ok {
 			continue // not a result line
 		}
-		allocs := int64(metrics["allocs/op"])
+		allocsF, ok := metrics["allocs/op"]
+		if !ok {
+			// Reading a missing count as 0 would pass a 0-alloc row.
+			return nil, fmt.Errorf("line %q: no allocs/op (run the benchmarks with -benchmem)", sc.Text())
+		}
+		allocs := int64(allocsF)
 		cur, ok := got[name]
 		if !ok || ns < cur.NsPerOp {
 			cur.NsPerOp = ns
@@ -173,7 +180,7 @@ func parseMetrics(tail string) (map[string]float64, error) {
 // check compares measured minima against the baseline. Every baselined
 // benchmark must be present, within the tolerance on its ns/op relative
 // to the in-run reference, and at exactly its baselined allocation
-// count.
+// count; every measured benchmark must have a baseline row.
 func check(base baseline, got map[string]baselineEntry, tol float64) []string {
 	var failures []string
 	baseRef, okBase := base.Benchmarks[reference]
@@ -201,6 +208,16 @@ func check(base baseline, got map[string]baselineEntry, tol float64) []string {
 			failures = append(failures, fmt.Sprintf("%s: %d allocs/op, baseline %d (allocation counts are gated exactly)",
 				name, g.AllocsPerOp, want.AllocsPerOp))
 		}
+	}
+	extra := make([]string, 0, len(got))
+	for name := range got {
+		if _, ok := base.Benchmarks[name]; !ok {
+			extra = append(extra, name)
+		}
+	}
+	sort.Strings(extra)
+	for _, name := range extra {
+		failures = append(failures, fmt.Sprintf("%s: not in the baseline, so it is not gated", name))
 	}
 	return failures
 }

@@ -60,7 +60,6 @@ func TestParseBenchReadsEveryMetricPair(t *testing.T) {
 	}{
 		{"BenchmarkStreamFeed1024-2   \t       3\t  11042354 ns/op\t  42.91 MB/s\t       121.6 audio_s/s\t 2542074 B/op\t     335 allocs/op", 11042354, 335},
 		{"BenchmarkStreamFeedSteady-2 \t     500\t    812345 ns/op\t        28.00 cols/op\t    9216 B/op\t      10 allocs/op", 812345, 10},
-		{"BenchmarkSTFTBatch/batch16-2\t    4000\t    273794 ns/op", 273794, 0},
 	}
 	for _, c := range cases {
 		got, err := parseBench(strings.NewReader(c.line + "\n"))
@@ -158,5 +157,49 @@ func TestCheckFailsWithoutReference(t *testing.T) {
 	failures := check(base, got, 0.20)
 	if len(failures) != 1 || !strings.Contains(failures[0], fmt.Sprintf("%s: reference", reference)) {
 		t.Fatalf("failures = %v, want one missing-reference failure", failures)
+	}
+}
+
+// TestParseBenchRejectsMissingAllocs: a result line without allocs/op
+// (the run lost -benchmem) must fail the parse rather than read as 0
+// allocations, which would match — and pass — a 0-alloc baseline row.
+func TestParseBenchRejectsMissingAllocs(t *testing.T) {
+	for _, line := range []string{
+		"BenchmarkSTFTCompute/band-2\t    4000\t    273794 ns/op",
+		"BenchmarkSTFTCompute/band-2\t    4000\t    273794 ns/op\t  116800 B/op",
+		"BenchmarkStreamFeed1024-2   \t       3\t  11042354 ns/op\t  42.91 MB/s\t       121.6 audio_s/s",
+	} {
+		if got, err := parseBench(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("%q: parsed %v, want an error", line, got)
+		}
+	}
+}
+
+// TestCheckFailsOnUnbaselinedBenchmark: a benchmark measured in the run
+// but absent from the baseline is never compared against anything, so
+// the gate must fail on it (only -update, which skips check, may add
+// rows).
+func TestCheckFailsOnUnbaselinedBenchmark(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		extra []string
+	}{
+		{"one new row", []string{"BenchmarkNew"}},
+		{"two new rows", []string{"BenchmarkNew/a", "BenchmarkNew/b"}},
+	} {
+		got := parseSample(t)
+		base := baseline{Benchmarks: scaled(got, 1, nil)}
+		for _, name := range tc.extra {
+			got[name] = baselineEntry{NsPerOp: 100}
+		}
+		failures := check(base, got, 0.20)
+		if len(failures) != len(tc.extra) {
+			t.Fatalf("%s: failures = %v, want one per unbaselined row", tc.name, failures)
+		}
+		for i, name := range tc.extra {
+			if !strings.HasPrefix(failures[i], name+":") || !strings.Contains(failures[i], "not in the baseline") {
+				t.Errorf("%s: failure %q, want %s reported as unbaselined", tc.name, failures[i], name)
+			}
+		}
 	}
 }

@@ -29,8 +29,9 @@
 // -soak loops whole writer sessions until the deadline; EW_SOAK=long in
 // the environment gears the duration ×10 for nightly runs without
 // changing the command line. -metrics-push POSTs the raw exposition to
-// a collector URL every -push-interval during the soak (best effort)
-// and once at the end (counted toward the exit code).
+// a metrics collector URL (pushgateway-style) every -push-interval
+// during the soak (best effort) and once at the end (counted toward the
+// exit code).
 //
 // Saturating the worker pools is visible as backpressure 429s in the
 // report rather than unbounded memory growth on the server. With
@@ -80,7 +81,6 @@ type options struct {
 	queue        int
 	maxSessions  int
 	prewarm      int
-	stftBatch    int
 	metricsz     bool
 	ws           bool
 	scenarioName string
@@ -105,7 +105,6 @@ func main() {
 	flag.IntVar(&o.queue, "queue", 0, "in-process server: ingest queue depth across shards (0 = 4×workers)")
 	flag.IntVar(&o.maxSessions, "max-sessions", 256, "in-process server: session bound")
 	flag.IntVar(&o.prewarm, "prewarm", 4, "in-process server: engines built at startup")
-	flag.IntVar(&o.stftBatch, "stft-batch", 0, "in-process server: batch up to this many sessions' STFT columns through one shared plan per shard (0 = per-worker feeds)")
 	flag.BoolVar(&o.metricsz, "metricsz", false, "scrape /metricsz after the run and fail on a malformed exposition")
 	flag.BoolVar(&o.ws, "ws", false, "stream over /v1/stream WebSockets instead of per-chunk HTTP POSTs")
 	flag.StringVar(&o.scenarioName, "scenario", "", `replay a recorded scenario matrix ("all", "smoke", or one cell name) over both ingest paths with /metricsz band assertions`)
@@ -123,7 +122,7 @@ func main() {
 func run(o options) error {
 	client := http.DefaultClient
 	if o.addr == "" {
-		base, shutdown, err := startInProcess(o.shards, o.workers, o.queue, o.maxSessions, o.prewarm, o.stftBatch)
+		base, shutdown, err := startInProcess(o.shards, o.workers, o.queue, o.maxSessions, o.prewarm)
 		if err != nil {
 			return err
 		}
@@ -379,7 +378,7 @@ func scrapeMetricsz(client *http.Client, addr string) ([]expose.Family, []byte, 
 
 // startInProcess boots a loopback sharded ewserve with word candidates
 // enabled and returns its base URL plus a shutdown function.
-func startInProcess(shards, workers, queue, maxSessions, prewarm, stftBatch int) (string, func(), error) {
+func startInProcess(shards, workers, queue, maxSessions, prewarm int) (string, func(), error) {
 	dict, err := lexicon.NewDictionary(stroke.DefaultScheme(), lexicon.DefaultWords())
 	if err != nil {
 		return "", nil, err
@@ -394,7 +393,6 @@ func startInProcess(shards, workers, queue, maxSessions, prewarm, stftBatch int)
 		Workers:     workers,
 		QueueDepth:  queue,
 		Prewarm:     prewarm,
-		STFTBatch:   stftBatch,
 	}, shards)
 	if err != nil {
 		return "", nil, err

@@ -49,19 +49,18 @@ func main() {
 		idle        = flag.Duration("idle", 2*time.Minute, "idle-session eviction timeout")
 		maxChunk    = flag.Int("max-chunk", 1<<18, "max buffered samples per audio POST")
 		window      = flag.Int("max-window", 0, "per-session spectrogram window bound (0 = pipeline default)")
-		stftBatch   = flag.Int("stft-batch", 0, "batch up to this many sessions' STFT columns through one shared plan per shard (0 = per-worker feeds)")
 		calibrated  = flag.Bool("calibrated", false, "pool calibrated engines (slower startup, better templates)")
 		noWords     = flag.Bool("no-words", false, "disable word candidates on flush")
 	)
 	flag.Parse()
-	if err := run(*addr, *maxSessions, *shards, *workers, *queue, *prewarm, *idle, *maxChunk, *window, *stftBatch, *calibrated, *noWords); err != nil {
+	if err := run(*addr, *maxSessions, *shards, *workers, *queue, *prewarm, *idle, *maxChunk, *window, *calibrated, *noWords); err != nil {
 		fmt.Fprintln(os.Stderr, "ewserve:", err)
 		os.Exit(1)
 	}
 }
 
 func run(addr string, maxSessions, shards, workers, queue, prewarm int, idle time.Duration,
-	maxChunk, window, stftBatch int, calibrated, noWords bool) error {
+	maxChunk, window int, calibrated, noWords bool) error {
 	factory := serve.EngineFactory(nil)
 	if calibrated {
 		factory = func() (*pipeline.Engine, error) {
@@ -87,7 +86,6 @@ func run(addr string, maxSessions, shards, workers, queue, prewarm int, idle tim
 		Prewarm:     prewarm,
 		MaxChunk:    maxChunk,
 		MaxWindow:   window,
-		STFTBatch:   stftBatch,
 	}, shards)
 	if err != nil {
 		return err

@@ -7,17 +7,77 @@ import (
 	"testing"
 )
 
-// referenceColumns computes a spectrogram under the full-FFT reference
-// engine — the ground truth of the differential harness.
+// fullFFTSTFT is the paper's naive formulation of the STFT — window,
+// embed the real frame in a full N-point complex FFT, crop the band —
+// kept as the ground truth the band plan is differentially tested and
+// benchmarked against. Like STFT it owns its scratch, so Compute
+// allocates only the spectrogram (3 allocations).
+type fullFFTSTFT struct {
+	cfg     STFTConfig
+	window  *Window
+	plan    *FFTPlan
+	framed  []float64
+	scratch []complex128
+}
+
+// newFullFFTSTFT builds the reference for cfg, defaulted exactly as
+// NewSTFT defaults it.
+func newFullFFTSTFT(tb testing.TB, cfg STFTConfig) *fullFFTSTFT {
+	tb.Helper()
+	st, err := NewSTFT(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg = st.Config()
+	plan, err := NewFFTPlan(cfg.FFTSize)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &fullFFTSTFT{
+		cfg:     cfg,
+		window:  st.window,
+		plan:    plan,
+		framed:  make([]float64, cfg.FFTSize),
+		scratch: make([]complex128, cfg.FFTSize),
+	}
+}
+
+// Compute mirrors STFT.Compute: one column per hop, trailing partial
+// frames dropped, all columns over one backing array.
+func (r *fullFFTSTFT) Compute(signal []float64) (*Spectrogram, error) {
+	c := r.cfg
+	if len(signal) < c.FFTSize {
+		return nil, fmt.Errorf("signal length %d shorter than one frame (%d)", len(signal), c.FFTSize)
+	}
+	nFrames := (len(signal)-c.FFTSize)/c.HopSize + 1
+	w := c.HighBin - c.LowBin
+	out := &Spectrogram{
+		Data:       make([][]float64, nFrames),
+		SampleRate: c.SampleRate,
+		FFTSize:    c.FFTSize,
+		HopSize:    c.HopSize,
+		BinLow:     c.LowBin,
+	}
+	backing := make([]float64, nFrames*w)
+	for f := range out.Data {
+		start := f * c.HopSize
+		if _, err := r.window.Apply(signal[start:start+c.FFTSize], r.framed); err != nil {
+			return nil, err
+		}
+		for i, v := range r.framed {
+			r.scratch[i] = complex(v, 0)
+		}
+		r.plan.transform(r.scratch, false)
+		out.Data[f] = Magnitudes(r.scratch[c.LowBin:c.HighBin], backing[f*w:(f+1)*w:(f+1)*w])
+	}
+	return out, nil
+}
+
+// referenceColumns computes a spectrogram with the full-FFT reference —
+// the ground truth of the differential harness.
 func referenceColumns(t testing.TB, cfg STFTConfig, signal []float64) *Spectrogram {
 	t.Helper()
-	ref := cfg
-	ref.Engine = EngineFFT
-	st, err := NewSTFT(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := st.Compute(signal)
+	spec, err := newFullFFTSTFT(t, cfg).Compute(signal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +97,7 @@ func randomSignal(seed int64, n int) []float64 {
 // TestBandEngineMatchesReference is the differential equivalence suite:
 // randomized signals × all window kinds × band edges (degenerate 1-bin
 // bands, DC and Nyquist edges, the full half-spectrum, the paper's
-// default band), asserting every band-engine column matches the full-FFT
+// default band), asserting every STFT column matches the full-FFT
 // reference per bin within the 1e-9 harness tolerance.
 func TestBandEngineMatchesReference(t *testing.T) {
 	type bandCase struct {
@@ -54,7 +114,6 @@ func TestBandEngineMatchesReference(t *testing.T) {
 		{"full-half-spectrum", func(n int) int { return 0 }, func(n int) int { return n / 2 }},
 	}
 	windows := []WindowKind{WindowHanning, WindowHamming, WindowRectangular, WindowBlackman}
-	engines := []EngineKind{EngineAuto, EngineRFFT, EngineGoertzel}
 	sizes := []int{64, 1024}
 	for _, n := range sizes {
 		for _, bc := range bands {
@@ -67,23 +126,19 @@ func TestBandEngineMatchesReference(t *testing.T) {
 					LowBin:     bc.low(n),
 					HighBin:    bc.high(n),
 				}
+				st, err := NewSTFT(cfg)
+				if err != nil {
+					t.Fatalf("n=%d band=%s win=%v: %v", n, bc.name, win, err)
+				}
 				for seed := int64(1); seed <= 3; seed++ {
 					sig := randomSignal(seed*int64(n), 3*n)
 					want := referenceColumns(t, cfg, sig)
-					for _, eng := range engines {
-						c := cfg
-						c.Engine = eng
-						st, err := NewSTFT(c)
-						if err != nil {
-							t.Fatalf("n=%d band=%s win=%v engine=%v: %v", n, bc.name, win, eng, err)
-						}
-						got, err := st.Compute(sig)
-						if err != nil {
-							t.Fatalf("n=%d band=%s win=%v engine=%v: %v", n, bc.name, win, eng, err)
-						}
-						assertSpectrogramsClose(t, got, want,
-							"n=%d band=%s win=%v engine=%v seed=%d", n, bc.name, win, eng, seed)
+					got, err := st.Compute(sig)
+					if err != nil {
+						t.Fatalf("n=%d band=%s win=%v: %v", n, bc.name, win, err)
 					}
+					assertSpectrogramsClose(t, got, want,
+						"n=%d band=%s win=%v seed=%d", n, bc.name, win, seed)
 				}
 			}
 		}
@@ -100,19 +155,15 @@ func TestBandEngineMatchesReferencePaperConfig(t *testing.T) {
 		sig[i] += 5 * math.Sin(2*math.Pi*20000*float64(i)/cfg.SampleRate)
 	}
 	want := referenceColumns(t, cfg, sig)
-	for _, eng := range []EngineKind{EngineAuto, EngineRFFT, EngineGoertzel} {
-		c := cfg
-		c.Engine = eng
-		st, err := NewSTFT(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := st.Compute(sig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSpectrogramsClose(t, got, want, "engine=%v", eng)
+	st, err := NewSTFT(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, err := st.Compute(sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSpectrogramsClose(t, got, want, "paper config")
 }
 
 func assertSpectrogramsClose(t *testing.T, got, want *Spectrogram, format string, args ...any) {
@@ -139,103 +190,32 @@ func fmtArgs(format string, args []any) string {
 	return fmt.Sprintf(format, args...)
 }
 
-// TestEngineAutoSelection pins the cost-based choice: wide bands go to
-// the rfft path, narrow bands to the Goertzel bank.
-func TestEngineAutoSelection(t *testing.T) {
-	cfg := DefaultSTFTConfig() // 351 bins: far past the Goertzel crossover
-	st, err := NewSTFT(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.EngineKind() != EngineRFFT {
-		t.Errorf("default band auto-selected %v, want rfft", st.EngineKind())
-	}
-	narrow := cfg
-	narrow.HighBin = narrow.LowBin + 8
-	st, err = NewSTFT(narrow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.EngineKind() != EngineGoertzel {
-		t.Errorf("8-bin band auto-selected %v, want goertzel", st.EngineKind())
-	}
-	forced := cfg
-	forced.Engine = EngineFFT
-	st, err = NewSTFT(forced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.EngineKind() != EngineFFT {
-		t.Errorf("forced reference engine reports %v", st.EngineKind())
-	}
-}
-
+// TestBandTransformValidation pins the band plan's per-call argument
+// checks.
 func TestBandTransformValidation(t *testing.T) {
-	if _, err := NewBandTransform(100, 0, 10, EngineAuto); err == nil {
-		t.Error("non-power-of-two size accepted")
-	}
-	if _, err := NewBandTransform(64, -1, 10, EngineAuto); err == nil {
-		t.Error("negative low bin accepted")
-	}
-	if _, err := NewBandTransform(64, 0, 33, EngineAuto); err == nil {
-		t.Error("band past Nyquist accepted")
-	}
-	if _, err := NewBandTransform(64, 5, 5, EngineAuto); err == nil {
-		t.Error("empty band accepted")
-	}
-	if _, err := NewBandTransform(64, 0, 10, EngineFFT); err == nil {
-		t.Error("EngineFFT accepted as a band engine")
-	}
-	bt, err := NewBandTransform(64, 3, 11, EngineGoertzel)
+	p, err := NewRFFTPlan(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bt.Size() != 64 {
-		t.Errorf("Size() = %d", bt.Size())
-	}
-	if lo, hi := bt.Band(); lo != 3 || hi != 11 {
-		t.Errorf("Band() = [%d,%d)", lo, hi)
-	}
-	if err := bt.Magnitudes(make([]float64, 32), make([]float64, 8)); err == nil {
-		t.Error("short frame accepted")
-	}
-	if err := bt.Magnitudes(make([]float64, 64), make([]float64, 4)); err == nil {
-		t.Error("short dst accepted")
-	}
-	rb, err := NewBandTransform(64, 3, 11, EngineRFFT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rb.Magnitudes(make([]float64, 64), make([]float64, 4)); err == nil {
-		t.Error("rfft band: short dst accepted")
-	}
-	if err := rb.Magnitudes(make([]float64, 12), make([]float64, 8)); err == nil {
-		t.Error("rfft band: short frame accepted")
-	}
-}
-
-func TestEngineKindString(t *testing.T) {
-	for kind, want := range map[EngineKind]string{
-		EngineAuto:     "auto",
-		EngineFFT:      "fft",
-		EngineRFFT:     "rfft",
-		EngineGoertzel: "goertzel",
-		EngineKind(99): "EngineKind(99)",
+	frame, win := make([]float64, 64), make([]float64, 64)
+	for _, tc := range []struct {
+		name       string
+		frame, win []float64
+		low, high  int
+		dst        []float64
+	}{
+		{"negative low bin", frame, win, -1, 10, make([]float64, 11)},
+		{"band past Nyquist", frame, win, 0, 33, make([]float64, 33)},
+		{"empty band", frame, win, 5, 5, nil},
+		{"short dst", frame, win, 3, 11, make([]float64, 4)},
+		{"short frame", frame[:12], nil, 3, 11, make([]float64, 8)},
+		{"short window", frame, win[:32], 3, 11, make([]float64, 8)},
 	} {
-		if got := kind.String(); got != want {
-			t.Errorf("String(%d) = %q, want %q", int(kind), got, want)
+		if err := p.Magnitudes(tc.frame, tc.win, tc.low, tc.high, tc.dst); err == nil {
+			t.Errorf("%s accepted", tc.name)
 		}
 	}
-}
-
-// TestSTFTEngineValidation rejects unknown engine values at config time.
-func TestSTFTEngineValidation(t *testing.T) {
-	cfg := DefaultSTFTConfig()
-	cfg.Engine = EngineKind(7)
-	if err := cfg.Validate(); err == nil {
-		t.Error("unknown engine accepted")
-	}
-	if _, err := NewSTFT(cfg); err == nil {
-		t.Error("NewSTFT accepted unknown engine")
+	if err := p.Magnitudes(frame, nil, 3, 11, make([]float64, 8)); err != nil {
+		t.Errorf("valid unwindowed band rejected: %v", err)
 	}
 }

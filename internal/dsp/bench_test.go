@@ -17,34 +17,30 @@ func benchSignal(n int) []float64 {
 }
 
 // BenchmarkSTFTCompute measures the full spectrogram computation for the
-// paper's default 8192/1024/350-bin configuration under each engine. The
-// band engine is the serving default; the full-FFT engine is the
-// differential reference the band path is validated against.
+// paper's default 8192/1024/350-bin configuration: band is the serving
+// STFT; fullfft is the differential reference it is validated against,
+// and the row the bench gate divides every other row by.
 func BenchmarkSTFTCompute(b *testing.B) {
 	sig := benchSignal(2 * 44100)
-	for _, eng := range []struct {
-		name string
-		kind EngineKind
-	}{
-		{"band", EngineAuto},
-		{"rfft", EngineRFFT},
-		{"goertzel", EngineGoertzel},
-		{"fullfft", EngineFFT},
-	} {
-		b.Run(eng.name, func(b *testing.B) {
-			cfg := DefaultSTFTConfig()
-			cfg.Engine = eng.kind
-			st, err := NewSTFT(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.Compute(sig); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cfg := DefaultSTFTConfig()
+	b.Run("band", func(b *testing.B) {
+		st, err := NewSTFT(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchCompute(b, st.Compute, sig)
+	})
+	b.Run("fullfft", func(b *testing.B) {
+		benchCompute(b, newFullFFTSTFT(b, cfg).Compute, sig)
+	})
+}
+
+func benchCompute(b *testing.B, compute func([]float64) (*Spectrogram, error), sig []float64) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := compute(sig); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

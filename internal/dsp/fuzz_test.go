@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzBandTransform drives arbitrary PCM16 bytes and arbitrary band
-// edges through every band engine and asserts two invariants: each
-// engine's spectrogram matches the full-FFT reference within the
+// edges through the STFT and asserts two invariants: the band plan's
+// spectrogram matches the full-FFT reference within the
 // differential tolerance, and per-frame FrameColumn calls reproduce
 // Compute's columns exactly (the streaming path and the batch path must
 // never diverge).
@@ -53,33 +53,29 @@ func FuzzBandTransform(f *testing.F) {
 		}
 		want := referenceColumns(t, cfg, sig)
 
-		for _, eng := range []EngineKind{EngineAuto, EngineRFFT, EngineGoertzel} {
-			c := cfg
-			c.Engine = eng
-			st, err := NewSTFT(c)
-			if err != nil {
-				t.Fatalf("engine=%v band=[%d,%d): %v", eng, low, high, err)
-			}
-			got, err := st.Compute(sig)
-			if err != nil {
-				t.Fatalf("engine=%v band=[%d,%d): %v", eng, low, high, err)
-			}
-			assertSpectrogramsClose(t, got, want, "engine=%v band=[%d,%d)", eng, low, high)
+		st, err := NewSTFT(cfg)
+		if err != nil {
+			t.Fatalf("band=[%d,%d): %v", low, high, err)
+		}
+		got, err := st.Compute(sig)
+		if err != nil {
+			t.Fatalf("band=[%d,%d): %v", low, high, err)
+		}
+		assertSpectrogramsClose(t, got, want, "band=[%d,%d)", low, high)
 
-			// Streaming/batch invariance: the per-frame entry point on the
-			// same STFT instance must reproduce Compute's columns exactly,
-			// whatever residue state the previous frames left behind.
-			for fr := range got.Data {
-				start := fr * c.HopSize
-				col, err := st.FrameColumn(sig[start : start+n])
-				if err != nil {
-					t.Fatalf("engine=%v frame %d: %v", eng, fr, err)
-				}
-				for b := range col {
-					if col[b] != got.Data[fr][b] {
-						t.Fatalf("engine=%v frame %d bin %d: FrameColumn %.17g, Compute %.17g (must be bit-identical)",
-							eng, fr, b, col[b], got.Data[fr][b])
-					}
+		// Streaming/batch invariance: the per-frame entry point on the
+		// same STFT instance must reproduce Compute's columns exactly,
+		// whatever residue state the previous frames left behind.
+		for fr := range got.Data {
+			start := fr * cfg.HopSize
+			col, err := st.FrameColumn(sig[start : start+n])
+			if err != nil {
+				t.Fatalf("frame %d: %v", fr, err)
+			}
+			for b := range col {
+				if col[b] != got.Data[fr][b] {
+					t.Fatalf("frame %d bin %d: FrameColumn %.17g, Compute %.17g (must be bit-identical)",
+						fr, b, col[b], got.Data[fr][b])
 				}
 			}
 		}

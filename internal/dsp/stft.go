@@ -19,12 +19,6 @@ type STFTConfig struct {
 	// FFT bins [LowBin, HighBin). When both are zero the full non-negative
 	// half [0, FFTSize/2) is kept.
 	LowBin, HighBin int
-	// Engine selects how columns are computed. The zero value EngineAuto
-	// picks the cheapest band-limited engine for the configured band;
-	// EngineFFT is the full-FFT reference the fast paths are
-	// differentially tested against. All engines produce identical
-	// Spectrogram output within the differential harness tolerance.
-	Engine EngineKind
 }
 
 // DefaultSTFTConfig returns the paper's STFT parameters for a 44.1 kHz
@@ -57,35 +51,23 @@ func (c STFTConfig) Validate() error {
 	if c.LowBin < 0 || c.HighBin > c.FFTSize/2 || (c.HighBin != 0 && c.LowBin >= c.HighBin) {
 		return fmt.Errorf("dsp: bin band [%d,%d) invalid for FFT size %d", c.LowBin, c.HighBin, c.FFTSize)
 	}
-	switch c.Engine {
-	case EngineAuto, EngineFFT, EngineRFFT, EngineGoertzel:
-	default:
-		return fmt.Errorf("dsp: unknown spectral engine %d", int(c.Engine))
-	}
 	return nil
 }
 
 // STFT converts fixed-size signal frames into spectrogram columns. It owns
-// a spectral engine, a window, and scratch buffers, so one instance should
-// be reused across frames of a stream. An STFT is not safe for concurrent
-// use.
+// a real-input plan, whose scratch plane is its only per-instance state:
+// the plan's tables and the window coefficients are read-only and shared
+// by every STFT of the same size and window, so many sessions' STFTs
+// stay cheap in memory and keep one copy of them cache-hot. One
+// instance should be reused across frames of a stream; an STFT is not
+// safe for concurrent use.
 type STFT struct {
 	cfg    STFTConfig
 	window *Window
-	framed []float64
-	// Exactly one engine is populated, per cfg.Engine:
-	band    BandTransform // EngineAuto / EngineGoertzel (band-limited path)
-	rfft    *RFFTPlan     // EngineRFFT (full half-spectrum, then crop)
-	half    []complex128  // EngineRFFT half-spectrum scratch
-	plan    *FFTPlan      // EngineFFT (full complex reference)
-	scratch []complex128  // EngineFFT scratch
-	// bandWin is band when it supports fusing the window multiply into its
-	// first pass over the frame (resolved once at construction so the hot
-	// path never type-asserts).
-	bandWin windowedBandTransform
+	plan   *RFFTPlan
 }
 
-// NewSTFT validates cfg and precomputes the engine plan and window.
+// NewSTFT validates cfg and precomputes the plan and window.
 func NewSTFT(cfg STFTConfig) (*STFT, error) {
 	if cfg.Window == 0 {
 		cfg.Window = WindowHanning
@@ -96,56 +78,31 @@ func NewSTFT(cfg STFTConfig) (*STFT, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	win, err := NewWindow(cfg.Window, cfg.FFTSize)
+	win, err := windowCache.get(windowKey{cfg.Window, cfg.FFTSize}, func() (*Window, error) {
+		return NewWindow(cfg.Window, cfg.FFTSize)
+	})
 	if err != nil {
 		return nil, err
 	}
-	s := &STFT{
-		cfg:    cfg,
-		window: win,
-		framed: make([]float64, cfg.FFTSize),
+	plan, err := NewRFFTPlan(cfg.FFTSize)
+	if err != nil {
+		return nil, err
 	}
-	switch cfg.Engine {
-	case EngineFFT:
-		plan, err := NewFFTPlan(cfg.FFTSize)
-		if err != nil {
-			return nil, err
-		}
-		s.plan = plan
-		s.scratch = make([]complex128, cfg.FFTSize)
-	case EngineRFFT:
-		plan, err := NewRFFTPlan(cfg.FFTSize)
-		if err != nil {
-			return nil, err
-		}
-		s.rfft = plan
-		s.half = make([]complex128, cfg.FFTSize/2)
-	default: // EngineAuto, EngineGoertzel
-		band, err := NewBandTransform(cfg.FFTSize, cfg.LowBin, cfg.HighBin, cfg.Engine)
-		if err != nil {
-			return nil, err
-		}
-		s.band = band
-		s.bandWin, _ = band.(windowedBandTransform)
-	}
-	return s, nil
+	return &STFT{cfg: cfg, window: win, plan: plan}, nil
 }
+
+// windowKey identifies a shared STFT window.
+type windowKey struct {
+	kind WindowKind
+	n    int
+}
+
+// windowCache holds one window per kind and length for every STFT.
+var windowCache sharedCache[windowKey, *Window]
 
 // Config returns the configuration the STFT was built with (after
 // defaulting).
 func (s *STFT) Config() STFTConfig { return s.cfg }
-
-// EngineKind reports the concrete engine computing columns, with
-// EngineAuto resolved to the implementation it selected.
-func (s *STFT) EngineKind() EngineKind {
-	if s.band != nil {
-		return s.band.Kind()
-	}
-	if s.rfft != nil {
-		return EngineRFFT
-	}
-	return EngineFFT
-}
 
 // Bins reports the retained band width, the length of every column.
 func (s *STFT) Bins() int { return s.cfg.HighBin - s.cfg.LowBin }
@@ -180,34 +137,8 @@ func (s *STFT) FrameColumnInto(dst []float64, frame []float64) ([]float64, error
 	} else {
 		dst = dst[: n+w : cap(dst)]
 	}
-	out := dst[n : n+w]
-	if s.bandWin != nil {
-		// Fused path: the engine applies the window inside its first pass
-		// over the frame, skipping the separate Window.Apply sweep.
-		if err := s.bandWin.WindowedMagnitudes(frame, s.window.coeffs, out); err != nil {
-			return nil, err
-		}
-		return dst, nil
-	}
-	if _, err := s.window.Apply(frame, s.framed); err != nil {
+	if err := s.plan.Magnitudes(frame, s.window.coeffs, s.cfg.LowBin, s.cfg.HighBin, dst[n:n+w]); err != nil {
 		return nil, err
-	}
-	switch {
-	case s.band != nil:
-		if err := s.band.Magnitudes(s.framed, out); err != nil {
-			return nil, err
-		}
-	case s.rfft != nil:
-		if err := s.rfft.Transform(s.framed, s.half); err != nil {
-			return nil, err
-		}
-		Magnitudes(s.half[s.cfg.LowBin:s.cfg.HighBin], out)
-	default:
-		for i, v := range s.framed {
-			s.scratch[i] = complex(v, 0)
-		}
-		s.plan.transform(s.scratch, false)
-		Magnitudes(s.scratch[s.cfg.LowBin:s.cfg.HighBin], out)
 	}
 	return dst, nil
 }

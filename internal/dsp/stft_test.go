@@ -212,3 +212,23 @@ func TestEmptySpectrogram(t *testing.T) {
 		t.Error("empty spectrogram accessors should return zeros")
 	}
 }
+
+// TestFrameColumnIntoAllocFree pins the hot-loop allocation contract the
+// bench gate enforces: a column appended into preallocated capacity
+// performs no allocation.
+func TestFrameColumnIntoAllocFree(t *testing.T) {
+	st, err := NewSTFT(DefaultSTFTConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := benchSignal(st.Config().FFTSize)
+	dst := make([]float64, 0, st.Bins())
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := st.FrameColumnInto(dst[:0], frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("FrameColumnInto allocated %v times per call, want 0", allocs)
+	}
+}

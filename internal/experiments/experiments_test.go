@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
+	ewruntime "repro/internal/runtime"
 	"repro/internal/testutil/race"
 )
 
@@ -305,10 +307,18 @@ func TestFig21CPUShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mean float64
+	var paces, occs []float64
 	for _, row := range tab.Rows {
 		if row[0] == "mean" {
 			mean = parsePct(t, row[1])
+			continue
 		}
+		pace, err := strconv.ParseFloat(row[0], 64)
+		if err != nil {
+			t.Fatalf("cannot parse pace %q: %v", row[0], err)
+		}
+		paces = append(paces, pace)
+		occs = append(occs, parsePct(t, row[1]))
 	}
 	// Paper: mean 15.2 % within 9.5–25.6 %. The occupancy model feeds on
 	// real measured per-stroke wall time, so the race detector's ~5-10×
@@ -320,8 +330,31 @@ func TestFig21CPUShape(t *testing.T) {
 		}
 		return
 	}
-	if mean < 8 || mean > 26 {
-		t.Errorf("CPU mean %g%% outside the paper's plausible band", mean)
+	// The model scales this host's measured time by a fixed device
+	// factor, so its absolute level falls with every speedup of the
+	// pipeline (EXPERIMENTS.md, "Figs. 19–21 units") and is not a
+	// reproduction claim; a floor on it fails a faster host or a faster
+	// STFT. What the row carries is the shape: occupancy is the constant
+	// capture share plus a term linear in writing pace, under the
+	// paper's ceiling.
+	if mean > 26 {
+		t.Errorf("CPU mean %g%% above the paper's plausible band", mean)
+	}
+	base := 100 * ewruntime.DefaultCPUModel().BaselineShare
+	if len(occs) < 3 || occs[0] < base-0.05 {
+		t.Fatalf("occupancies %v: want at least three paces, all above the %g%% capture share", occs, base)
+	}
+	// Rows print to 0.1 %, so allow each point that much off the line
+	// through the end points.
+	n := len(occs) - 1
+	slope := (occs[n] - occs[0]) / (paces[n] - paces[0])
+	for i := range occs {
+		if i > 0 && occs[i] < occs[i-1] {
+			t.Errorf("occupancy falls with pace: %v at paces %v", occs, paces)
+		}
+		if line := occs[0] + slope*(paces[i]-paces[0]); math.Abs(occs[i]-line) > 0.1 {
+			t.Errorf("occupancy %g%% at pace %g is %.2f off linear in pace (%v at %v)", occs[i], paces[i], occs[i]-line, occs, paces)
+		}
 	}
 }
 

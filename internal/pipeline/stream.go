@@ -133,8 +133,9 @@ func (s *Stream) maxChunk() int {
 // can split the chunk and retry.
 //
 // Feed is Accumulate followed by the in-stream hop loop (one
-// FrameColumn per completed hop) and a Detect pass; batched callers
-// drive those steps separately via PendingFrames/AcceptColumns.
+// FrameColumn per completed hop) and a Detect pass; callers that time
+// or compute the columns themselves drive those steps separately via
+// PendingFrames/AcceptColumns.
 //
 // ew:hotpath — the streaming STFT column loop runs once per hop on the
 // serving path; the hotalloc analyzer keeps allocations out of it.
@@ -196,8 +197,9 @@ func (s *Stream) Accumulate(chunk []float64) error {
 
 // PendingFrames reports how many complete FFT frames the buffered
 // residue holds — the number of FrameColumn calls the next Feed's hop
-// loop would make, and the number of frames an external batcher may
-// read with PendingFrame before committing columns via AcceptColumns.
+// loop would make, and the number of frames an external column
+// computer may read with PendingFrame before committing columns via
+// AcceptColumns.
 func (s *Stream) PendingFrames() int {
 	cfg := s.eng.cfg.STFT
 	if len(s.samples) < cfg.FFTSize {
@@ -209,8 +211,7 @@ func (s *Stream) PendingFrames() int {
 // PendingFrame returns the i-th pending frame (0 <= i < PendingFrames)
 // as a view into the residue buffer. The view is valid only until the
 // next call that mutates the stream (Accumulate, AcceptColumns, Feed,
-// Flush, Reset); batched callers copy it out before releasing the
-// stream.
+// Flush, Reset).
 func (s *Stream) PendingFrame(i int) []float64 {
 	cfg := s.eng.cfg.STFT
 	off := i * cfg.HopSize
@@ -220,7 +221,7 @@ func (s *Stream) PendingFrame(i int) []float64 {
 // AcceptColumns commits externally computed magnitude columns for the
 // first len(cols) pending frames, consuming one hop of residue per
 // column — the exact state transition the in-stream hop loop performs,
-// so a stream driven by an external batcher is indistinguishable from
+// so a stream driven through the split API is indistinguishable from
 // one running Feed. The stream takes ownership of each column slice
 // (they join the spectrogram window); callers must hand over freshly
 // allocated columns, not reused scratch. Columns beyond PendingFrames,
@@ -249,9 +250,8 @@ func (s *Stream) AcceptColumns(cols [][]float64) error {
 }
 
 // AccrueSTFT folds externally measured column-computation time into the
-// stream's STFT stage timing, keeping Timings meaningful when an
-// external batcher computes the columns: each session is attributed its
-// share of the shared batch pass.
+// stream's STFT stage timing, keeping Timings meaningful when the
+// caller computes the columns outside Feed.
 func (s *Stream) AccrueSTFT(d time.Duration) { s.timings.STFT += d }
 
 // Detect brings enhancement up to date with the current window and

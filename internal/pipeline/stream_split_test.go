@@ -45,10 +45,11 @@ func TestStreamFeedTimingAccruedOnError(t *testing.T) {
 }
 
 // TestStreamSplitMatchesFeed drives one stream with Feed and a second
-// through the split API — Accumulate, PendingFrame reads into a shared
-// BatchSTFT, AcceptColumns, AccrueSTFT, Detect — and requires the two
-// to emit byte-identical detections. This is the single-session
-// equivalence the serve-layer batch collector relies on.
+// through the split API — Accumulate, PendingFrame reads into a
+// separate STFT.FrameColumn, AcceptColumns, AccrueSTFT, Detect — and
+// requires the two to emit byte-identical detections. This is the
+// single-session equivalence the per-layer benchmark stepper relies on
+// when it times each step of a feed separately.
 func TestStreamSplitMatchesFeed(t *testing.T) {
 	engA, err := NewEngine(DefaultConfig())
 	if err != nil {
@@ -58,17 +59,12 @@ func TestStreamSplitMatchesFeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const lanes = 16
-	bs, err := dsp.NewBatchSTFT(engB.cfg.STFT, lanes)
+	st, err := dsp.NewSTFT(engB.cfg.STFT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bs.Batched() {
-		t.Fatal("default config should take the shared-plan batch path")
-	}
 	sig := synthesizeSequence(t, stroke.Sequence{stroke.S2, stroke.S1})
 	a, b := NewStream(engA), NewStream(engB)
-	frames := make([][]float64, lanes)
 	for start := 0; start < len(sig.Samples); start += 2777 {
 		end := start + 2777
 		if end > len(sig.Samples) {
@@ -82,24 +78,16 @@ func TestStreamSplitMatchesFeed(t *testing.T) {
 		if err := b.Accumulate(chunk); err != nil {
 			t.Fatal(err)
 		}
-		for n := b.PendingFrames(); n > 0; n = b.PendingFrames() {
-			k := n
-			if k > lanes {
-				k = lanes
-			}
-			cols := make([][]float64, k)
-			for i := 0; i < k; i++ {
-				frames[i] = b.PendingFrame(i)
-				cols[i] = make([]float64, bs.Bins())
-			}
-			t0 := time.Now()
-			if err := bs.Columns(frames[:k], cols); err != nil {
+		cols := make([][]float64, b.PendingFrames())
+		t0 := time.Now()
+		for i := range cols {
+			if cols[i], err = st.FrameColumn(b.PendingFrame(i)); err != nil {
 				t.Fatal(err)
 			}
-			b.AccrueSTFT(time.Since(t0))
-			if err := b.AcceptColumns(cols); err != nil {
-				t.Fatal(err)
-			}
+		}
+		b.AccrueSTFT(time.Since(t0))
+		if err := b.AcceptColumns(cols); err != nil {
+			t.Fatal(err)
 		}
 		detsB, err := b.Detect()
 		if err != nil {

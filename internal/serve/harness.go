@@ -37,9 +37,10 @@ type LoadConfig struct {
 	ChunkSamples int
 	// Seed varies the synthesized scenes.
 	Seed uint64
-	// BackpressureRetries bounds how often one chunk is retried after a
-	// 429 before the writer gives up on it (default 100). Retrying keeps
-	// the audio contiguous, which recognition needs.
+	// BackpressureRetries bounds how often one chunk or flush is retried
+	// after a 429 before the writer gives up on it (default 100).
+	// Retrying keeps the audio contiguous, which recognition needs, and
+	// a flush is what returns the word candidates.
 	BackpressureRetries int
 	// Client overrides the HTTP client (default http.DefaultClient).
 	Client *http.Client
@@ -257,7 +258,7 @@ func driveWriter(cfg LoadConfig, sig *audio.Signal) writerResult {
 		}
 	}
 
-	dets, words, err := flushSession(cfg, id)
+	dets, words, err := flushSession(cfg, id, &res)
 	if err != nil {
 		res.errors++
 		return res
@@ -342,47 +343,30 @@ func openSession(cfg LoadConfig) (string, error) {
 // contiguous. Returns the number of detections and the (final) round
 // trip time.
 func postChunk(cfg LoadConfig, id string, body []byte, res *writerResult) (int, time.Duration, error) {
-	url := cfg.BaseURL + "/v1/sessions/" + id + "/audio"
-	for attempt := 0; ; attempt++ {
-		t0 := time.Now()
-		resp, err := cfg.Client.Post(url, "application/octet-stream", bytes.NewReader(body))
-		if err != nil {
-			return 0, 0, err
-		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			resp.Body.Close()
-			res.backpressure++
-			if attempt >= cfg.BackpressureRetries {
-				return 0, 0, fmt.Errorf("chunk dropped after %d backpressure retries", attempt)
-			}
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		lat := time.Since(t0)
-		var out struct {
-			Detections []DetectionJSON `json:"detections"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return 0, 0, fmt.Errorf("audio: status %d", resp.StatusCode)
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-		return len(out.Detections), lat, nil
-	}
-}
-
-func flushSession(cfg LoadConfig, id string) (dets, words int, err error) {
-	resp, err := cfg.Client.Post(cfg.BaseURL+"/v1/sessions/"+id+"/flush", "application/json", nil)
+	resp, lat, err := postRetrying(cfg, "/v1/sessions/"+id+"/audio", "application/octet-stream", body, res)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, fmt.Errorf("audio: %w", err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, fmt.Errorf("flush: status %d", resp.StatusCode)
+	var out struct {
+		Detections []DetectionJSON `json:"detections"`
 	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return 0, 0, err
+	}
+	return len(out.Detections), lat, nil
+}
+
+// flushSession drains the session, retrying on backpressure exactly as
+// postChunk does: a flush is queued like a chunk, so a saturated shard
+// answers it with 429 too, and giving up would lose the session's last
+// strokes and its word candidates.
+func flushSession(cfg LoadConfig, id string, res *writerResult) (dets, words int, err error) {
+	resp, _, err := postRetrying(cfg, "/v1/sessions/"+id+"/flush", "application/json", nil, res)
+	if err != nil {
+		return 0, 0, fmt.Errorf("flush: %w", err)
+	}
+	defer resp.Body.Close()
 	var out struct {
 		Detections []DetectionJSON `json:"detections"`
 		Words      []CandidateJSON `json:"words"`
@@ -391,6 +375,35 @@ func flushSession(cfg LoadConfig, id string) (dets, words int, err error) {
 		return 0, 0, err
 	}
 	return len(out.Detections), len(out.Words), nil
+}
+
+// postRetrying POSTs body to path, retrying each 429 after a short pause
+// up to BackpressureRetries times and counting every one in
+// res.backpressure. On success it returns the 200 response, body still
+// open, and the final attempt's round-trip time.
+func postRetrying(cfg LoadConfig, path, contentType string, body []byte, res *writerResult) (*http.Response, time.Duration, error) {
+	for attempt := 0; ; attempt++ {
+		t0 := time.Now()
+		resp, err := cfg.Client.Post(cfg.BaseURL+path, contentType, bytes.NewReader(body))
+		if err != nil {
+			return nil, 0, err
+		}
+		lat := time.Since(t0)
+		switch resp.StatusCode {
+		case http.StatusOK:
+			return resp, lat, nil
+		case http.StatusTooManyRequests:
+			resp.Body.Close()
+			res.backpressure++
+			if attempt >= cfg.BackpressureRetries {
+				return nil, 0, fmt.Errorf("dropped after %d backpressure retries", attempt)
+			}
+			time.Sleep(2 * time.Millisecond)
+		default:
+			resp.Body.Close()
+			return nil, 0, fmt.Errorf("status %d", resp.StatusCode)
+		}
+	}
 }
 
 func closeSession(cfg LoadConfig, id string) {

@@ -3,6 +3,8 @@ package serve
 import (
 	"math"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -114,5 +116,86 @@ func TestRunLoadReplaySoak(t *testing.T) {
 	}
 	if got, want := report.AudioSeconds, float64(report.Sessions)*rec.Duration(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("audio seconds %g, want %g", got, want)
+	}
+}
+
+// TestFlushRetriesBackpressure saturates a one-worker, one-slot manager
+// by stalling one session's job in JobStartHook and parking a second job
+// in the queue, so another session's flush is answered 429. The load
+// harness must retry that flush like a chunk — counting the 429s as
+// backpressure — and succeed once the stall lifts, not report an error.
+func TestFlushRetriesBackpressure(t *testing.T) {
+	leak.Check(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var stallID atomic.Value
+	stallID.Store("")
+	var once sync.Once
+	mgr, err := NewManager(Config{Workers: 1, QueueDepth: 1, Prewarm: 2,
+		JobStartHook: func(id string) {
+			if id == stallID.Load().(string) {
+				once.Do(func() {
+					close(entered)
+					<-release
+				})
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Shutdown()
+	ts := httptest.NewServer(NewServer(mgr).Handler())
+	defer ts.Close()
+	cfg := LoadConfig{BaseURL: ts.URL, Client: ts.Client(), BackpressureRetries: 100000}.withDefaults()
+
+	staller, err := openSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := openSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stallID.Store(staller)
+	var feeds sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		feeds.Add(1)
+		go func() {
+			defer feeds.Done()
+			if _, err := mgr.Feed(staller, make([]float64, 1024)); err != nil {
+				t.Errorf("stalled feed: %v", err)
+			}
+		}()
+		if i == 0 {
+			<-entered // the worker is now held inside the first job
+		}
+	}
+	for len(mgr.jobs) < 1 { // the second job fills the one queue slot
+		time.Sleep(time.Millisecond)
+	}
+
+	type flushResult struct {
+		res writerResult
+		err error
+	}
+	done := make(chan flushResult, 1)
+	go func() {
+		var r flushResult
+		_, _, r.err = flushSession(cfg, target, &r.res)
+		done <- r
+	}()
+	for mgr.Snapshot().Backpressure == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	r := <-done
+	feeds.Wait()
+	if r.err != nil {
+		t.Fatalf("flush under backpressure failed: %v", r.err)
+	}
+	if r.res.backpressure == 0 {
+		t.Error("flush saw a 429 but counted no backpressure")
+	}
+	if r.res.errors != 0 {
+		t.Errorf("flush counted %d errors", r.res.errors)
 	}
 }

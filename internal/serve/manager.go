@@ -62,16 +62,6 @@ type Config struct {
 	// MaxWindow bounds each session's retained spectrogram columns
 	// (default 0: the stream's own 1024-frame default).
 	MaxWindow int
-	// STFTBatch, when positive, replaces the worker pool with a single
-	// batch collector per manager: each cycle drains up to STFTBatch
-	// ready sessions from the ingest queue, computes all their pending
-	// STFT columns through one shared dsp.BatchSTFT pass, then runs each
-	// session's detection pass under its own lock. Per-session
-	// serialization, backpressure, and the reply contract are unchanged;
-	// detections are bit-identical to the per-worker path. Zero disables
-	// batching (the default: one Feed per worker). Workers still sizes
-	// the queue-depth default and is reported in stats.
-	STFTBatch int
 	// Clock supplies time for idle accounting (default time.Now); tests
 	// inject a fake.
 	Clock func() time.Time
@@ -218,14 +208,9 @@ func NewManager(cfg Config) (*Manager, error) {
 		lat:      lat,
 		latHist:  hist,
 	}
-	if cfg.STFTBatch > 0 {
-		m.wg.Add(1)
-		go m.collectorLoop()
-	} else {
-		m.wg.Add(cfg.Workers)
-		for i := 0; i < cfg.Workers; i++ {
-			go m.worker()
-		}
+	m.wg.Add(cfg.Workers)
+	for i := 0; i < cfg.Workers; i++ {
+		go m.worker()
 	}
 	return m, nil
 }
@@ -501,7 +486,7 @@ func (m *Manager) runJob(j *job) {
 }
 
 // finishJob is the accounting and reply tail every processed job goes
-// through, worker and batch-collector paths alike. Latency and stage
+// through. Latency and stage
 // deltas are recorded on the error branch too: a failed feed has
 // already spent real pipeline time (the stream accrues its hop-loop
 // cost on every exit), and hiding it made error storms look free on

@@ -352,46 +352,36 @@ func TestManagerOversizedFeed(t *testing.T) {
 }
 
 // TestManagerFeedErrorAccounting pins the accounting contract for feeds
-// that fail after admission: the error increments feed_errors (in both
-// worker and batch-collector modes), the chunk counter stays
-// success-only, and the failed feed's latency is still recorded so the
-// histogram covers everything the workers actually did.
+// that fail after admission: the error increments feed_errors, the
+// chunk counter stays success-only, and the failed feed's latency is
+// still recorded so the histogram covers everything the workers
+// actually did.
 func TestManagerFeedErrorAccounting(t *testing.T) {
 	leak.Check(t)
-	for _, tc := range []struct {
-		name  string
-		batch int
-	}{
-		{"workers", 0},
-		{"batched", 8},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			mgr, err := NewManager(Config{Workers: 1, Prewarm: 1, MaxChunk: 4096, STFTBatch: tc.batch})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mgr.Shutdown()
-			id, err := mgr.Open()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := mgr.Feed(id, make([]float64, 2048)); err != nil {
-				t.Fatalf("in-cap feed failed: %v", err)
-			}
-			if _, err := mgr.Feed(id, make([]float64, 5000)); !errors.Is(err, pipeline.ErrOversizedChunk) {
-				t.Fatalf("oversized feed error = %v, want pipeline.ErrOversizedChunk", err)
-			}
-			st := mgr.Snapshot()
-			if st.FeedErrors != 1 {
-				t.Errorf("FeedErrors = %d, want 1", st.FeedErrors)
-			}
-			if st.Chunks != 1 {
-				t.Errorf("Chunks = %d, want 1 (errors must not count as processed)", st.Chunks)
-			}
-			if got := mgr.latHist.View().Count; got != 2 {
-				t.Errorf("latency histogram count = %d, want 2 (failed feeds are still timed)", got)
-			}
-		})
+	mgr, err := NewManager(Config{Workers: 1, Prewarm: 1, MaxChunk: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Shutdown()
+	id, err := mgr.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Feed(id, make([]float64, 2048)); err != nil {
+		t.Fatalf("in-cap feed failed: %v", err)
+	}
+	if _, err := mgr.Feed(id, make([]float64, 5000)); !errors.Is(err, pipeline.ErrOversizedChunk) {
+		t.Fatalf("oversized feed error = %v, want pipeline.ErrOversizedChunk", err)
+	}
+	st := mgr.Snapshot()
+	if st.FeedErrors != 1 {
+		t.Errorf("FeedErrors = %d, want 1", st.FeedErrors)
+	}
+	if st.Chunks != 1 {
+		t.Errorf("Chunks = %d, want 1 (errors must not count as processed)", st.Chunks)
+	}
+	if got := mgr.latHist.View().Count; got != 2 {
+		t.Errorf("latency histogram count = %d, want 2 (failed feeds are still timed)", got)
 	}
 }
 
