@@ -358,31 +358,33 @@ func TestManagerOversizedFeed(t *testing.T) {
 // actually did.
 func TestManagerFeedErrorAccounting(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewManager(Config{Workers: 1, Prewarm: 1, MaxChunk: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Shutdown()
-	id, err := mgr.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr.Feed(id, make([]float64, 2048)); err != nil {
-		t.Fatalf("in-cap feed failed: %v", err)
-	}
-	if _, err := mgr.Feed(id, make([]float64, 5000)); !errors.Is(err, pipeline.ErrOversizedChunk) {
-		t.Fatalf("oversized feed error = %v, want pipeline.ErrOversizedChunk", err)
-	}
-	st := mgr.Snapshot()
-	if st.FeedErrors != 1 {
-		t.Errorf("FeedErrors = %d, want 1", st.FeedErrors)
-	}
-	if st.Chunks != 1 {
-		t.Errorf("Chunks = %d, want 1 (errors must not count as processed)", st.Chunks)
-	}
-	if got := mgr.latHist.View().Count; got != 2 {
-		t.Errorf("latency histogram count = %d, want 2 (failed feeds are still timed)", got)
-	}
+	t.Run("workers", func(t *testing.T) {
+		mgr, err := NewManager(Config{Workers: 1, Prewarm: 1, MaxChunk: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mgr.Shutdown()
+		id, err := mgr.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mgr.Feed(id, make([]float64, 2048)); err != nil {
+			t.Fatalf("in-cap feed failed: %v", err)
+		}
+		if _, err := mgr.Feed(id, make([]float64, 5000)); !errors.Is(err, pipeline.ErrOversizedChunk) {
+			t.Fatalf("oversized feed error = %v, want pipeline.ErrOversizedChunk", err)
+		}
+		st := mgr.Snapshot()
+		if st.FeedErrors != 1 {
+			t.Errorf("FeedErrors = %d, want 1", st.FeedErrors)
+		}
+		if st.Chunks != 1 {
+			t.Errorf("Chunks = %d, want 1 (errors must not count as processed)", st.Chunks)
+		}
+		if got := mgr.latHist.View().Count; got != 2 {
+			t.Errorf("latency histogram count = %d, want 2 (failed feeds are still timed)", got)
+		}
+	})
 }
 
 func TestManagerShutdown(t *testing.T) {
