@@ -48,51 +48,22 @@ func FilterDecimate(x, h []float64, factor int) ([]float64, error) {
 	if len(h) == 0 {
 		return nil, fmt.Errorf("dsp: empty filter")
 	}
-	delay, m := len(h)/2, len(h)
-	out := make([]float64, 0, (len(x)+factor-1)/factor)
-	i := 0
-	// Leading edge: the taps reach before x[0].
-	for ; i < len(x) && i+delay-m+1 < 0; i += factor {
-		out = append(out, firAt(x, h, i+delay))
-	}
-	// Interior, four outputs at a time. Each output keeps its own
-	// accumulator and tap order, so the result is bit-identical to firAt;
-	// the four addition chains overlap instead of running back to back.
-	for ; i+3*factor+delay < len(x); i += 4 * factor {
-		lo := i + delay - m + 1
-		w0 := x[lo : lo+m]
-		w1 := x[lo+factor : lo+factor+m]
-		w2 := x[lo+2*factor : lo+2*factor+m]
-		w3 := x[lo+3*factor : lo+3*factor+m]
-		var a0, a1, a2, a3 float64
-		for q := m - 1; q >= 0; q-- {
-			tap := h[m-1-q]
-			a0 += tap * w0[q]
-			a1 += tap * w1[q]
-			a2 += tap * w2[q]
-			a3 += tap * w3[q]
+	delay := len(h) / 2
+	n := len(x) / factor
+	out := make([]float64, 0, n)
+	for i := 0; i < len(x); i += factor {
+		center := i + delay
+		acc := 0.0
+		for j, tap := range h {
+			k := center - j
+			if k < 0 || k >= len(x) {
+				continue
+			}
+			acc += tap * x[k]
 		}
-		out = append(out, a0, a1, a2, a3)
-	}
-	// Trailing outputs, including those whose taps reach past the end.
-	for ; i < len(x); i += factor {
-		out = append(out, firAt(x, h, i+delay))
+		out = append(out, acc)
 	}
 	return out, nil
-}
-
-// firAt is one output of the zero-padded convolution of x with h, centred
-// on input sample center.
-func firAt(x, h []float64, center int) float64 {
-	acc := 0.0
-	for j, tap := range h {
-		k := center - j
-		if k < 0 || k >= len(x) {
-			continue
-		}
-		acc += tap * x[k]
-	}
-	return acc
 }
 
 // FrequencyResponse evaluates the filter's magnitude response at

@@ -2,7 +2,6 @@ package dsp
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -80,36 +79,6 @@ func TestFilterDecimateLength(t *testing.T) {
 	}
 	if len(out) != 250 {
 		t.Errorf("decimated length %d, want 250", len(out))
-	}
-}
-
-func TestFilterDecimateMatchesDirectForm(t *testing.T) {
-	// The interleaved interior must give each output exactly the bits of
-	// the one-at-a-time zero-padded convolution, at every edge geometry.
-	h, err := FIRBandpass(31, 44100, 1000, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 5, 15, 16, 17, 31, 32, 47, 100, 1001} {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		for factor := 1; factor <= 9; factor++ {
-			out, err := FilterDecimate(x, h, factor)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := (n + factor - 1) / factor; len(out) != want {
-				t.Fatalf("n=%d factor=%d: %d outputs, want %d", n, factor, len(out), want)
-			}
-			for m, got := range out {
-				if want := firAt(x, h, m*factor+len(h)/2); got != want {
-					t.Fatalf("n=%d factor=%d out[%d] = %v, want %v", n, factor, m, got, want)
-				}
-			}
-		}
 	}
 }
 

@@ -307,7 +307,6 @@ func TestSTFTConcurrentSharedTables(t *testing.T) {
 	// the first build of its tables.
 	cfg := STFTConfig{SampleRate: 44100, FFTSize: 16384, HopSize: 4096, LowBin: 7000, HighBin: 7400}
 	sig := randomSignal(9, cfg.FFTSize+3*cfg.HopSize)
-	want := referenceColumns(t, cfg, sig)
 	const workers = 4
 	got := make([]*Spectrogram, workers)
 	errs := make([]error, workers)
@@ -328,6 +327,9 @@ func TestSTFTConcurrentSharedTables(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
+	// The reference builds an STFT of the same size too, so it runs only
+	// after the goroutines have raced the first build.
+	want := referenceColumns(t, cfg, sig)
 	for g := range got {
 		if errs[g] != nil {
 			t.Fatalf("goroutine %d: %v", g, errs[g])

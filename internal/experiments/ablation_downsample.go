@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/acoustic"
@@ -53,10 +52,8 @@ func AblationDownsample(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// downsampleTrial measures accuracy and the median per-stroke
-// STFT(+front-end) time for a given decimation factor (0 = full-rate
-// baseline). The median keeps a burst of host contention during one
-// variant's trial from skewing the speedup column.
+// downsampleTrial measures accuracy and per-stroke STFT(+front-end) time
+// for a given decimation factor (0 = full-rate baseline).
 func downsampleTrial(cfg Config, factor int) (float64, time.Duration, error) {
 	var (
 		eng *pipeline.Engine
@@ -77,7 +74,8 @@ func downsampleTrial(cfg Config, factor int) (float64, time.Duration, error) {
 	}
 	roster := participant.SixParticipants()[:cfg.Participants]
 	cm := &metrics.ConfusionMatrix{}
-	var stftTimes []time.Duration
+	var stftTotal time.Duration
+	strokes := 0
 	for pi, p := range roster {
 		sess := participant.NewSession(p, cfg.Seed+uint64(pi*53))
 		for _, st := range stroke.AllStrokes() {
@@ -102,7 +100,8 @@ func downsampleTrial(cfg Config, factor int) (float64, time.Duration, error) {
 				if err != nil {
 					return 0, 0, err
 				}
-				stftTimes = append(stftTimes, out.Timings.STFT+feTime)
+				stftTotal += out.Timings.STFT + feTime
+				strokes++
 				if len(out.Detections) == 1 {
 					if err := cm.Add(st, out.Detections[0].Stroke); err != nil {
 						return 0, 0, err
@@ -113,10 +112,5 @@ func downsampleTrial(cfg Config, factor int) (float64, time.Duration, error) {
 			}
 		}
 	}
-	var median time.Duration
-	if len(stftTimes) > 0 {
-		slices.Sort(stftTimes)
-		median = stftTimes[len(stftTimes)/2]
-	}
-	return cm.OverallAccuracy(), median, nil
+	return cm.OverallAccuracy(), stftTotal / time.Duration(max(strokes, 1)), nil
 }
