@@ -1,7 +1,7 @@
 // Command ewserve runs the EchoWrite multi-session recognition service:
 // an HTTP front end where many concurrent clients stream audio chunks
 // and receive stroke detections and word candidates as they complete.
-// Sessions are hash-partitioned across -shards independent managers
+// Sessions are hash-partitioned across -shards independent shards
 // (default GOMAXPROCS), each with its own queue, session table and
 // engine pool, so no lock is shared between shards on the hot path.
 //
@@ -9,7 +9,7 @@
 //
 // Wire protocol (see internal/serve):
 //
-//	POST   /v1/sessions            open a session → {"session":"s000001"}
+//	POST   /v1/sessions            open a session → {"session":"s00000001"}
 //	POST   /v1/sessions/{id}/audio 16-bit LE mono PCM at 44.1 kHz → detections
 //	POST   /v1/sessions/{id}/flush drain + word candidates
 //	DELETE /v1/sessions/{id}       close

@@ -6,9 +6,9 @@
 // the hot paths that must record observations cheaply.
 //
 // The serving layer (internal/serve) registers collectors that read its
-// atomic counters directly, so a scrape never touches the latency
-// reservoirs or sorts anything; GET /metricsz on serve.Server renders
-// the registry. The package also ships a strict Parse for the same
+// atomic counters directly, so a scrape never sorts anything; GET
+// /metricsz on serve.Server renders the registry, and /statsz reads its
+// feed-latency quantiles off the same histograms (SumViews, Quantile). The package also ships a strict Parse for the same
 // format, used by cmd/ewload's end-of-run scrape and the CI smoke so a
 // malformed exposition fails loudly instead of silently dropping
 // series in a real scraper.

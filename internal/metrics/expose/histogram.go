@@ -3,6 +3,7 @@ package expose
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -94,4 +95,53 @@ func (h *Histogram) View() HistView {
 	v.Count = h.count.Load()
 	v.Sum = math.Float64frombits(h.sum.Load())
 	return v
+}
+
+// SumViews adds views of histograms that share one bucket layout (the
+// per-shard series of one family) bucket by bucket, so the result
+// describes the union of their observations. No views yield the empty
+// view. Summing different layouts is a programming error and panics.
+func SumViews(views []HistView) HistView {
+	var s HistView
+	for i, v := range views {
+		if i == 0 {
+			s.UpperBounds = v.UpperBounds
+			s.Cumulative = make([]uint64, len(v.Cumulative))
+		} else if !slices.Equal(v.UpperBounds, s.UpperBounds) {
+			panic("expose: SumViews over different bucket layouts")
+		}
+		for j, c := range v.Cumulative {
+			s.Cumulative[j] += c
+		}
+		s.Count += v.Count
+		s.Sum += v.Sum
+	}
+	return s
+}
+
+// Quantile estimates the q-quantile (q in [0, 1]) of the observed
+// values the way Prometheus's histogram_quantile does: find the bucket
+// holding rank q·Count and interpolate linearly inside it, taking the
+// first bucket's lower edge as 0 (or its bound, when that is
+// negative). Ranks past the top finite bound report that bound, since
+// the +Inf bucket has no upper edge. The estimate is exact only to the
+// bucket resolution. An empty view, or q outside [0, 1], yields 0.
+func (v HistView) Quantile(q float64) float64 {
+	if v.Count == 0 || !(q >= 0 && q <= 1) {
+		return 0
+	}
+	rank := q * float64(v.Count)
+	i := sort.Search(len(v.Cumulative), func(i int) bool { return float64(v.Cumulative[i]) >= rank })
+	if i == len(v.Cumulative) {
+		return v.UpperBounds[len(v.UpperBounds)-1]
+	}
+	lo, below := min(0, v.UpperBounds[0]), uint64(0)
+	if i > 0 {
+		lo, below = v.UpperBounds[i-1], v.Cumulative[i-1]
+	}
+	in := v.Cumulative[i] - below
+	if in == 0 {
+		return lo
+	}
+	return lo + (v.UpperBounds[i]-lo)*(rank-float64(below))/float64(in)
 }

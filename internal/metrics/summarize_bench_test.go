@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// benchSamples mirrors a full serving latency reservoir (the
-// latencyRing in internal/serve).
+// benchSamples draws n exponential latencies, the shape of a client-side
+// load report.
 func benchSamples(n int) []float64 {
 	rng := rand.New(rand.NewSource(7))
 	xs := make([]float64, n)

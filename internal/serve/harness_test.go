@@ -17,7 +17,7 @@ import (
 // server, aggregated into a throughput/latency report.
 func TestRunLoadInProcess(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewManager(Config{MaxSessions: 8, Workers: 2, QueueDepth: 16, Prewarm: 2})
+	mgr, err := NewShardedManager(Config{MaxSessions: 8, Workers: 2, QueueDepth: 16, Prewarm: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRunLoadInProcess(t *testing.T) {
 // soak must complete more sessions than writers.
 func TestRunLoadReplaySoak(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewManager(Config{MaxSessions: 8, Workers: 2, QueueDepth: 16})
+	mgr, err := NewShardedManager(Config{MaxSessions: 8, Workers: 2, QueueDepth: 16}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFlushRetriesBackpressure(t *testing.T) {
 	var stallID atomic.Value
 	stallID.Store("")
 	var once sync.Once
-	mgr, err := NewManager(Config{Workers: 1, QueueDepth: 1, Prewarm: 2,
+	mgr, err := NewShardedManager(Config{Workers: 1, QueueDepth: 1, Prewarm: 2,
 		JobStartHook: func(id string) {
 			if id == stallID.Load().(string) {
 				once.Do(func() {
@@ -138,7 +138,7 @@ func TestFlushRetriesBackpressure(t *testing.T) {
 					<-release
 				})
 			}
-		}})
+		}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestFlushRetriesBackpressure(t *testing.T) {
 			<-entered // the worker is now held inside the first job
 		}
 	}
-	for len(mgr.jobs) < 1 { // the second job fills the one queue slot
+	for mgr.Snapshot().QueueLen < 1 { // the second job fills the one queue slot
 		time.Sleep(time.Millisecond)
 	}
 

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	stdruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -34,8 +32,10 @@ var (
 	ErrClosed = errors.New("serve: manager closed")
 )
 
-// Config parameterizes a Manager. The zero value is usable: every field
-// has a serving-appropriate default.
+// Config parameterizes a ShardedManager. The zero value is usable: every
+// field has a serving-appropriate default. MaxSessions, Workers,
+// QueueDepth and Prewarm are service-wide totals that NewShardedManager
+// splits across the shards.
 type Config struct {
 	// Engines builds recognizer engines for the pool (nil: default
 	// pipeline configuration).
@@ -44,14 +44,14 @@ type Config struct {
 	// accumulated stroke sequence on Flush. It is shared across sessions
 	// and must therefore be used read-only (infer.Recognizer is).
 	Recognizer *infer.Recognizer
-	// MaxSessions bounds the session table (default 64).
+	// MaxSessions bounds the open sessions (default 64).
 	MaxSessions int
 	// IdleTimeout is how long a session may sit without a Feed before
 	// EvictIdle may reclaim it (default 2 minutes; <0 disables).
 	IdleTimeout time.Duration
 	// Workers is the processing goroutine count (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the shared ingest queue; a full queue yields
+	// QueueDepth bounds the ingest queues; a full shard queue yields
 	// ErrBackpressure (default 4×Workers).
 	QueueDepth int
 	// Prewarm engines built at startup (default min(2, MaxSessions)).
@@ -98,14 +98,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// latencyRing bounds how many recent feed latencies the stats snapshot
-// summarizes.
-const latencyRing = 4096
-
-// feedLatencyBuckets are the upper bounds (milliseconds) of the
-// /metricsz feed-latency histogram: octaves from 0.25 ms to 512 ms, so
-// both a warm sub-millisecond feed and a cold-engine or contended-shard
-// stall land in informative buckets.
+// feedLatencyBuckets are the upper bounds (milliseconds) of the feed-latency
+// histogram behind both /metricsz and the /statsz quantiles: octaves
+// from 0.25 ms to 512 ms, so both a warm sub-millisecond feed and a
+// cold-engine or contended-shard stall land in informative buckets.
 var feedLatencyBuckets = mustExpBuckets(0.25, 2, 12)
 
 func mustExpBuckets(start, factor float64, n int) []float64 {
@@ -116,13 +112,15 @@ func mustExpBuckets(start, factor float64, n int) []float64 {
 	return b
 }
 
-// Manager owns per-session stream state keyed by session ID and pushes
-// every chunk through a bounded worker pool. Feed and Flush are
-// synchronous: they enqueue a job and wait for its result, so a caller
-// that feeds one session sequentially observes detections in order.
-// Distinct sessions are processed concurrently up to Workers.
-type Manager struct {
-	cfg  Config
+// shard is one partition of a ShardedManager. It owns everything its
+// sessions touch: the session table, a bounded job queue drained by its
+// own workers, an EnginePool, the counters and the feed-latency
+// histogram, so no lock or channel is shared with another shard. Jobs
+// are synchronous: a caller enqueues one and waits for its result, so
+// a caller that feeds one session sequentially observes detections in
+// order. Distinct sessions run concurrently up to cfg.Workers.
+type shard struct {
+	cfg  Config // this shard's split of the service totals
 	pool *EnginePool
 	jobs chan *job
 	quit chan struct{}
@@ -130,7 +128,6 @@ type Manager struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session // guarded by mu
-	nextID   uint64              // guarded by mu
 	closed   bool                // guarded by mu
 
 	chunks     atomic.Uint64
@@ -140,16 +137,9 @@ type Manager struct {
 	feedErrors atomic.Uint64
 	stages     ewruntime.SharedBreakdown
 
-	latMu sync.Mutex
-	lat   *metrics.Reservoir // guarded by latMu
-
-	// latHist is the cumulative feed-latency histogram behind /metricsz;
-	// internally atomic, so no lock is shared with the reservoir.
+	// latHist records every processed job's latency; /metricsz renders
+	// it and /statsz reads its quantiles. It is internally atomic.
 	latHist *expose.Histogram
-
-	// testJobStart, when set, runs at the top of every worker job; tests
-	// use it to hold workers and saturate the queue deterministically.
-	testJobStart func()
 }
 
 // session serializes all pipeline work for one client. The mutex is held
@@ -183,15 +173,10 @@ type jobResult struct {
 	err  error
 }
 
-// NewManager validates cfg, pre-warms the engine pool and starts the
-// worker goroutines. Call Shutdown to release them.
-func NewManager(cfg Config) (*Manager, error) {
-	cfg = cfg.withDefaults()
+// newShard pre-warms the shard's engine pool and starts its workers.
+// cfg must already carry defaults and the shard's split of the totals.
+func newShard(cfg Config) (*shard, error) {
 	pool, err := NewEnginePool(cfg.Engines, cfg.Prewarm)
-	if err != nil {
-		return nil, err
-	}
-	lat, err := metrics.NewReservoir(latencyRing)
 	if err != nil {
 		return nil, err
 	}
@@ -199,13 +184,12 @@ func NewManager(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{
+	m := &shard{
 		cfg:      cfg,
 		pool:     pool,
 		jobs:     make(chan *job, cfg.QueueDepth),
 		quit:     make(chan struct{}),
 		sessions: make(map[string]*session),
-		lat:      lat,
 		latHist:  hist,
 	}
 	m.wg.Add(cfg.Workers)
@@ -215,50 +199,23 @@ func NewManager(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Open registers a new session and returns its ID. When the table is
-// full it first attempts idle eviction; if the table is still full the
-// call fails with ErrSessionLimit.
-func (m *Manager) Open() (string, error) {
-	return m.open("")
-}
-
-// OpenWithID registers a session under a caller-chosen ID — the hook a
-// ShardedManager uses to mint IDs that hash to the shard it routes
-// through. The ID must be non-empty and not currently in the table.
-func (m *Manager) OpenWithID(id string) error {
-	if id == "" {
-		return fmt.Errorf("serve: empty session id")
-	}
-	_, err := m.open(id)
-	return err
-}
-
-// open shares the admission path of Open and OpenWithID: an empty id
-// means "mint the next sequential one".
-func (m *Manager) open(id string) (string, error) {
+// open registers a session under id, which the caller minted fresh.
+// When the table is full it first attempts idle eviction; if the table
+// is still full the call fails with ErrSessionLimit.
+func (m *shard) open(id string) error {
 	for attempt := 0; ; attempt++ {
 		m.mu.Lock()
 		if m.closed {
 			m.mu.Unlock()
-			return "", ErrClosed
-		}
-		if id != "" {
-			if _, dup := m.sessions[id]; dup {
-				m.mu.Unlock()
-				return "", fmt.Errorf("serve: duplicate session id %q", id)
-			}
+			return ErrClosed
 		}
 		if len(m.sessions) < m.cfg.MaxSessions {
 			break // holds m.mu
 		}
 		m.mu.Unlock()
-		if attempt > 0 || m.EvictIdle() == 0 {
-			return "", ErrSessionLimit
+		if attempt > 0 || m.evictIdle() == 0 {
+			return ErrSessionLimit
 		}
-	}
-	if id == "" {
-		m.nextID++
-		id = fmt.Sprintf("s%06d", m.nextID)
 	}
 	sess := &session{id: id}
 	sess.lastActive.Store(m.cfg.Clock().UnixNano())
@@ -272,56 +229,18 @@ func (m *Manager) open(id string) (string, error) {
 		m.mu.Lock()
 		delete(m.sessions, id)
 		m.mu.Unlock()
-		return "", err
+		return err
 	}
 	st.MaxChunk = m.cfg.MaxChunk
 	st.MaxWindow = m.cfg.MaxWindow
 	sess.mu.Lock()
 	sess.stream = st
 	sess.mu.Unlock()
-	return id, nil
+	return nil
 }
 
-// Feed pushes one audio chunk into a session and returns the strokes
-// that completed. A full ingest queue yields ErrBackpressure without
-// touching session state.
-func (m *Manager) Feed(id string, chunk []float64) ([]pipeline.Detection, error) {
-	sess, err := m.lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	return m.submit(sess, chunk, false)
-}
-
-// Flush drains a session's partial frame, returning the final
-// detections plus word candidates for the accumulated stroke sequence
-// (when a Recognizer is configured). The sequence resets afterwards so
-// the next word starts clean; the session itself stays open.
-func (m *Manager) Flush(id string) ([]pipeline.Detection, []infer.Candidate, error) {
-	sess, err := m.lookup(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	dets, err := m.submit(sess, nil, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	sess.mu.Lock()
-	seq := sess.seq
-	sess.seq = nil
-	sess.mu.Unlock()
-	if m.cfg.Recognizer == nil || len(seq) == 0 {
-		return dets, nil, nil
-	}
-	cands, err := m.cfg.Recognizer.Recognize(seq)
-	if err != nil {
-		return dets, nil, fmt.Errorf("serve: word candidates: %w", err)
-	}
-	return dets, cands, nil
-}
-
-// Close removes a session and returns its engine to the pool.
-func (m *Manager) Close(id string) error {
+// close removes a session and returns its engine to the pool.
+func (m *shard) close(id string) error {
 	m.mu.Lock()
 	sess, ok := m.sessions[id]
 	if ok {
@@ -335,22 +254,9 @@ func (m *Manager) Close(id string) error {
 	return nil
 }
 
-// Touch refreshes a session's idle clock without submitting work. The
-// streaming front end calls it so a live connection counts as session
-// activity for EvictIdle even when no audio is flowing.
-func (m *Manager) Touch(id string) error {
-	sess, err := m.lookup(id)
-	if err != nil {
-		return err
-	}
-	sess.lastActive.Store(m.cfg.Clock().UnixNano())
-	return nil
-}
-
-// EvictIdle reclaims sessions idle past IdleTimeout, returning how many
-// were evicted. The HTTP server calls this on a timer; Open calls it
-// when the table is full.
-func (m *Manager) EvictIdle() int {
+// evictIdle reclaims sessions idle past IdleTimeout and reports how
+// many it evicted.
+func (m *shard) evictIdle() int {
 	if m.cfg.IdleTimeout <= 0 {
 		return 0
 	}
@@ -373,9 +279,9 @@ func (m *Manager) EvictIdle() int {
 	return len(idle)
 }
 
-// Shutdown closes every session, stops the workers and waits for them.
+// shutdown closes every session, stops the workers and waits for them.
 // Queued jobs are abandoned; their callers receive ErrClosed.
-func (m *Manager) Shutdown() {
+func (m *shard) shutdown() {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -395,7 +301,7 @@ func (m *Manager) Shutdown() {
 	m.wg.Wait()
 }
 
-func (m *Manager) lookup(id string) (*session, error) {
+func (m *shard) lookup(id string) (*session, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -411,7 +317,7 @@ func (m *Manager) lookup(id string) (*session, error) {
 // release marks a session closed and checks its stream back in. It must
 // be called after the session left the table, so no new jobs target it;
 // an in-flight job finishes first because both sides take sess.mu.
-func (m *Manager) release(sess *session) {
+func (m *shard) release(sess *session) {
 	sess.mu.Lock()
 	if !sess.closed {
 		sess.closed = true
@@ -424,7 +330,7 @@ func (m *Manager) release(sess *session) {
 }
 
 // submit enqueues one job with admission control and waits for it.
-func (m *Manager) submit(sess *session, chunk []float64, flush bool) ([]pipeline.Detection, error) {
+func (m *shard) submit(sess *session, chunk []float64, flush bool) ([]pipeline.Detection, error) {
 	j := &job{sess: sess, chunk: chunk, flush: flush, reply: make(chan jobResult, 1)}
 	select {
 	case m.jobs <- j:
@@ -440,7 +346,7 @@ func (m *Manager) submit(sess *session, chunk []float64, flush bool) ([]pipeline
 	}
 }
 
-func (m *Manager) worker() {
+func (m *shard) worker() {
 	defer m.wg.Done()
 	for {
 		select {
@@ -452,10 +358,7 @@ func (m *Manager) worker() {
 	}
 }
 
-func (m *Manager) runJob(j *job) {
-	if m.testJobStart != nil {
-		m.testJobStart()
-	}
+func (m *shard) runJob(j *job) {
 	if m.cfg.JobStartHook != nil {
 		m.cfg.JobStartHook(j.sess.id)
 	}
@@ -495,9 +398,9 @@ func (m *Manager) runJob(j *job) {
 // success-only; errors land in feedErrors (echowrite_feed_errors_total).
 //
 // ew:holds sess.mu — callers invoke this with the job's session locked.
-func (m *Manager) finishJob(j *job, start time.Time, dets []pipeline.Detection, err error) {
+func (m *shard) finishJob(j *job, start time.Time, dets []pipeline.Detection, err error) {
 	sess := j.sess
-	m.recordLatency(time.Since(start))
+	m.latHist.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	m.accountStages(sess, len(dets))
 	if err == nil {
 		m.chunks.Add(1)
@@ -522,7 +425,7 @@ func (m *Manager) finishJob(j *job, start time.Time, dets []pipeline.Detection, 
 // means include the quiet feeds that led up to each stroke.
 //
 // ew:holds sess.mu — only runJob calls this, with the session locked.
-func (m *Manager) accountStages(sess *session, strokes int) {
+func (m *shard) accountStages(sess *session, strokes int) {
 	t := sess.stream.Timings()
 	last := sess.lastStages
 	sess.lastStages = t
@@ -535,31 +438,6 @@ func (m *Manager) accountStages(sess *session, strokes int) {
 		m.stages.Add(sess.pendingStages, strokes)
 		sess.pendingStages = pipeline.StageTimings{}
 	}
-}
-
-func (m *Manager) recordLatency(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	m.latMu.Lock()
-	m.lat.Add(ms)
-	m.latMu.Unlock()
-	m.latHist.Observe(ms)
-}
-
-// latencySamples copies the retained feed-latency samples; the sharded
-// aggregator pools them across shards for merged quantiles.
-func (m *Manager) latencySamples() []float64 {
-	m.latMu.Lock()
-	defer m.latMu.Unlock()
-	return m.lat.Samples()
-}
-
-// MaxChunk reports the per-feed sample cap admission control enforces
-// (the HTTP front end derives its body limit from it).
-func (m *Manager) MaxChunk() int {
-	if m.cfg.MaxChunk > 0 {
-		return m.cfg.MaxChunk
-	}
-	return pipeline.DefaultMaxChunk
 }
 
 // StageMillis is the per-stroke stage cost view exposed by Snapshot,
@@ -590,9 +468,11 @@ type ShardStats struct {
 
 // Stats is the /statsz snapshot: service health, pool occupancy,
 // throughput counters, feed-latency quantiles and per-stroke stage cost
-// aggregated across all sessions. For a ShardedManager the top-level
-// fields aggregate every shard (latency quantiles are merged over the
-// pooled per-shard samples) and Shards carries the per-shard view.
+// aggregated across all sessions. The top-level fields aggregate every
+// shard and Shards carries the per-shard view. FeedLatencyMs holds
+// quantiles of the /metricsz feed-latency histograms summed over
+// shards: every job since start, interpolated within the octave
+// buckets, and zero before the first job.
 type Stats struct {
 	ActiveSessions int                    `json:"active_sessions"`
 	MaxSessions    int                    `json:"max_sessions"`
@@ -610,33 +490,9 @@ type Stats struct {
 	Shards         []ShardStats           `json:"shards,omitempty"`
 }
 
-// Snapshot assembles a consistent-enough stats view for monitoring. A
-// single Manager reports itself as one shard, so /statsz and /metricsz
-// have the same shape whether or not the service is sharded.
-func (m *Manager) Snapshot() Stats {
-	sv := m.shardView()
-	return Stats{
-		ActiveSessions: sv.ActiveSessions,
-		MaxSessions:    m.cfg.MaxSessions,
-		Workers:        m.cfg.Workers,
-		QueueLen:       sv.QueueLen,
-		QueueCap:       sv.QueueCap,
-		Pool:           m.pool.Stats(),
-		Chunks:         sv.Chunks,
-		Detections:     sv.Detections,
-		Backpressure:   sv.Backpressure,
-		FeedErrors:     sv.FeedErrors,
-		Evictions:      sv.Evictions,
-		FeedLatencyMs:  summarizeFeedLatency(m.latencySamples()),
-		PerStroke:      stageMillis(m.stages.Snapshot()),
-		Shards:         []ShardStats{sv},
-	}
-}
-
-// shardView reads this manager's counters as one shard's contribution —
-// cheap (atomic loads plus a brief table lock), with no latency sorting,
-// so the /metricsz collectors can call it on every scrape.
-func (m *Manager) shardView() ShardStats {
+// view reads the shard's counters: atomic loads plus a brief table
+// lock, cheap enough for every /metricsz scrape.
+func (m *shard) view() ShardStats {
 	m.mu.Lock()
 	active := len(m.sessions)
 	m.mu.Unlock()
@@ -651,25 +507,6 @@ func (m *Manager) shardView() ShardStats {
 		Evictions:      m.evictions.Load(),
 	}
 }
-
-// shardStats implements metricsSource for a single manager: one shard.
-func (m *Manager) shardStats() []ShardStats { return []ShardStats{m.shardView()} }
-
-// feedLatencyHistograms implements metricsSource: one histogram per
-// shard, index-aligned with shardStats.
-func (m *Manager) feedLatencyHistograms() []*expose.Histogram {
-	return []*expose.Histogram{m.latHist}
-}
-
-// stageTotals implements metricsSource: cumulative stage time and
-// stroke count since startup.
-func (m *Manager) stageTotals() ewruntime.StageBreakdown { return m.stages.Snapshot() }
-
-// limits implements metricsSource: the configured service-wide bounds.
-func (m *Manager) limits() (maxSessions, workers int) { return m.cfg.MaxSessions, m.cfg.Workers }
-
-// poolStats implements metricsSource.
-func (m *Manager) poolStats() PoolStats { return m.pool.Stats() }
 
 // stageMillis converts an aggregated stage breakdown into the per-stroke
 // millisecond view /statsz exposes (zero value when no strokes yet).
@@ -688,24 +525,4 @@ func stageMillis(b ewruntime.StageBreakdown) StageMillis {
 		Total:        ms(per.Total()),
 		Strokes:      b.Strokes,
 	}
-}
-
-// summarizeFeedLatency is the single choke point where feed-latency
-// samples become the quantile triple /statsz serves: with no samples
-// (zero traffic) the quantiles are NaN, which encoding/json rejects —
-// the encoder would abort mid-body and the scrape would see truncated
-// JSON — so NaN is reported as zero here, once, for both the single
-// Manager and the ShardedManager aggregation path.
-func summarizeFeedLatency(groups ...[]float64) metrics.LatencySummary {
-	s := metrics.MergeLatencies(groups...)
-	if math.IsNaN(s.P50) {
-		s.P50 = 0
-	}
-	if math.IsNaN(s.P95) {
-		s.P95 = 0
-	}
-	if math.IsNaN(s.P99) {
-		s.P99 = 0
-	}
-	return s
 }

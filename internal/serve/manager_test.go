@@ -70,7 +70,7 @@ func synthesizeSequence(t *testing.T, seq stroke.Sequence, seed uint64) *audio.S
 }
 
 // TestManagerConcurrentSessionsMatchBatch is the subsystem's core
-// guarantee: ≥32 concurrent sessions through one shared Manager each
+// guarantee: ≥32 concurrent sessions through one single-shard manager each
 // produce exactly the detections the single-threaded batch pipeline
 // yields for the same audio.
 func TestManagerConcurrentSessionsMatchBatch(t *testing.T) {
@@ -98,12 +98,12 @@ func TestManagerConcurrentSessionsMatchBatch(t *testing.T) {
 	}
 
 	const sessions = 32
-	mgr, err := NewManager(Config{
+	mgr, err := NewShardedManager(Config{
 		MaxSessions: sessions,
 		Workers:     4,
 		QueueDepth:  2 * sessions,
 		Prewarm:     4,
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,18 +180,17 @@ func TestManagerConcurrentSessionsMatchBatch(t *testing.T) {
 // of queueing without bound or deadlocking.
 func TestManagerBackpressure(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewManager(Config{Workers: 1, QueueDepth: 1, Prewarm: 1, MaxSessions: 4})
+	started := make(chan struct{}, 4)
+	release := make(chan struct{})
+	mgr, err := NewShardedManager(Config{Workers: 1, QueueDepth: 1, Prewarm: 1, MaxSessions: 4,
+		JobStartHook: func(string) {
+			started <- struct{}{}
+			<-release
+		}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mgr.Shutdown()
-
-	started := make(chan struct{}, 4)
-	release := make(chan struct{})
-	mgr.testJobStart = func() {
-		started <- struct{}{}
-		<-release
-	}
 
 	a, err := mgr.Open()
 	if err != nil {
@@ -210,7 +209,7 @@ func TestManagerBackpressure(t *testing.T) {
 	go func() { _, err := mgr.Feed(b, chunk); feedErr <- err }()
 	// Wait until job 2 occupies the queue slot.
 	deadline := time.After(5 * time.Second)
-	for len(mgr.jobs) == 0 {
+	for mgr.Snapshot().QueueLen == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("second job never queued")
@@ -237,7 +236,7 @@ func TestManagerBackpressure(t *testing.T) {
 
 func TestManagerSessionLimitAndClose(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewManager(Config{MaxSessions: 2, Workers: 1, Prewarm: 1})
+	mgr, err := NewShardedManager(Config{MaxSessions: 2, Workers: 1, Prewarm: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,13 +281,13 @@ func TestManagerIdleEviction(t *testing.T) {
 		clockMu.Unlock()
 	}
 
-	mgr, err := NewManager(Config{
+	mgr, err := NewShardedManager(Config{
 		MaxSessions: 2,
 		IdleTimeout: time.Minute,
 		Workers:     1,
 		Prewarm:     1,
 		Clock:       clock,
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +332,7 @@ func TestManagerIdleEviction(t *testing.T) {
 
 func TestManagerOversizedFeed(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewManager(Config{Workers: 1, Prewarm: 1, MaxChunk: 4096})
+	mgr, err := NewShardedManager(Config{Workers: 1, Prewarm: 1, MaxChunk: 4096}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +358,7 @@ func TestManagerOversizedFeed(t *testing.T) {
 func TestManagerFeedErrorAccounting(t *testing.T) {
 	leak.Check(t)
 	t.Run("workers", func(t *testing.T) {
-		mgr, err := NewManager(Config{Workers: 1, Prewarm: 1, MaxChunk: 4096})
+		mgr, err := NewShardedManager(Config{Workers: 1, Prewarm: 1, MaxChunk: 4096}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +380,7 @@ func TestManagerFeedErrorAccounting(t *testing.T) {
 		if st.Chunks != 1 {
 			t.Errorf("Chunks = %d, want 1 (errors must not count as processed)", st.Chunks)
 		}
-		if got := mgr.latHist.View().Count; got != 2 {
+		if got := mgr.feedLatency()[0].Count; got != 2 {
 			t.Errorf("latency histogram count = %d, want 2 (failed feeds are still timed)", got)
 		}
 	})
@@ -389,7 +388,7 @@ func TestManagerFeedErrorAccounting(t *testing.T) {
 
 func TestManagerShutdown(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewManager(Config{Workers: 2, Prewarm: 1})
+	mgr, err := NewShardedManager(Config{Workers: 2, Prewarm: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,14 +9,15 @@ import (
 )
 
 // metricsSource is the cheap-read surface the /metricsz collectors
-// scrape: per-shard counter views, per-shard feed-latency histograms
-// (index-aligned with the shard views), cumulative stage totals and the
-// configured bounds. *Manager and *ShardedManager both implement it;
-// unlike Snapshot, none of these reads sorts latency samples, so a
-// tight scrape loop stays off the quantile path entirely.
+// scrape and ShardedManager.Snapshot aggregates: per-shard counter
+// views, per-shard feed-latency histogram views (index-aligned with the
+// counter views), cumulative stage totals and the configured bounds.
+// Every read is atomic loads or a brief lock, so a tight scrape loop
+// stays cheap. *ShardedManager implements it, and so does any Service
+// that embeds one, which is how NewServer finds it behind middleware.
 type metricsSource interface {
 	shardStats() []ShardStats
-	feedLatencyHistograms() []*expose.Histogram
+	feedLatency() []expose.HistView
 	stageTotals() ewruntime.StageBreakdown
 	limits() (maxSessions, workers int)
 	poolStats() PoolStats
@@ -44,7 +45,7 @@ var stageNames = [...]struct {
 // per-scrape point slices.
 func newServiceRegistry(ms metricsSource) *expose.Registry {
 	r := expose.NewRegistry()
-	shards := len(ms.feedLatencyHistograms())
+	shards := len(ms.shardStats())
 	labels := make([][]expose.Label, shards)
 	for i := range labels {
 		labels[i] = []expose.Label{{Name: "shard", Value: strconv.Itoa(i)}}
@@ -126,8 +127,7 @@ func newServiceRegistry(ms metricsSource) *expose.Registry {
 		Help: "Per-feed pipeline latency histogram (log-spaced ms buckets), per shard.",
 		Kind: expose.KindHistogram},
 		func(emit func(expose.Point)) {
-			for i, h := range ms.feedLatencyHistograms() {
-				v := h.View()
+			for i, v := range ms.feedLatency() {
 				emit(expose.Point{Labels: labels[i], Hist: &v})
 			}
 		})

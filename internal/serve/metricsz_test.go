@@ -1,16 +1,19 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/infer"
+	"repro/internal/metrics"
 	"repro/internal/metrics/expose"
 	"repro/internal/pipeline"
 	"repro/internal/stroke"
@@ -35,62 +38,44 @@ func scrape(t *testing.T, base, path string) (int, string, string) {
 
 // TestMetricszGoldenZeroTraffic pins the full exposition — metric
 // names, HELP/TYPE ordering, label rendering, histogram bucket layout
-// with the +Inf bucket — byte for byte against testdata, for both a
-// single manager and a sharded one.
+// with the +Inf bucket — byte for byte against testdata.
 func TestMetricszGoldenZeroTraffic(t *testing.T) {
 	leak.Check(t)
-	cases := []struct {
-		name   string
-		golden string
-		mk     func(t *testing.T) Service
-	}{
-		{"single", "testdata/metricsz_single_zero.txt", func(t *testing.T) Service {
-			mgr, err := NewManager(Config{MaxSessions: 4, Workers: 2, Prewarm: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return mgr
-		}},
-		{"sharded", "testdata/metricsz_sharded_zero.txt", func(t *testing.T) Service {
-			sm, err := NewShardedManager(Config{MaxSessions: 4, Workers: 2, QueueDepth: 8, Prewarm: 2}, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sm
-		}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			want, err := os.ReadFile(c.golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			svc := c.mk(t)
-			defer svc.Shutdown()
-			ts := httptest.NewServer(NewServer(svc).Handler())
-			defer ts.Close()
-			status, ct, body := scrape(t, ts.URL, "/metricsz")
-			if status != http.StatusOK {
-				t.Fatalf("/metricsz status = %d", status)
-			}
-			if ct != metricsContentType {
-				t.Errorf("content type = %q, want %q", ct, metricsContentType)
-			}
-			if body != string(want) {
-				t.Errorf("exposition differs from %s:\n--- got ---\n%s", c.golden, body)
-			}
-			// The golden must itself satisfy the strict parser, including
-			// histogram cumulativity.
-			if _, err := expose.Parse(strings.NewReader(body)); err != nil {
-				t.Errorf("golden exposition does not parse: %v", err)
-			}
-		})
-	}
+	t.Run("sharded", func(t *testing.T) {
+		const golden = "testdata/metricsz_sharded_zero.txt"
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm, err := NewShardedManager(Config{MaxSessions: 4, Workers: 2, QueueDepth: 8, Prewarm: 2}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sm.Shutdown()
+		ts := httptest.NewServer(NewServer(sm).Handler())
+		defer ts.Close()
+		status, ct, body := scrape(t, ts.URL, "/metricsz")
+		if status != http.StatusOK {
+			t.Fatalf("/metricsz status = %d", status)
+		}
+		if ct != metricsContentType {
+			t.Errorf("content type = %q, want %q", ct, metricsContentType)
+		}
+		if body != string(want) {
+			t.Errorf("exposition differs from %s:\n--- got ---\n%s", golden, body)
+		}
+		// The golden must itself satisfy the strict parser, including
+		// histogram cumulativity.
+		if _, err := expose.Parse(strings.NewReader(body)); err != nil {
+			t.Errorf("golden exposition does not parse: %v", err)
+		}
+	})
 }
 
 // TestMetricszSmoke is the CI smoke gate (`make metricsz-smoke`): boot
-// a sharded service, drive real audio through it, then strictly parse
-// the exposition and cross-check every counter family against /statsz.
+// a sharded service, drive real audio and one failing feed through it,
+// then strictly parse the exposition and cross-check every counter
+// family and the feed-latency quantiles against /statsz.
 func TestMetricszSmoke(t *testing.T) {
 	leak.Check(t)
 	sm, err := NewShardedManager(Config{MaxSessions: 8, Workers: 2, QueueDepth: 64, Prewarm: 2}, 2)
@@ -113,6 +98,13 @@ func TestMetricszSmoke(t *testing.T) {
 		if _, _, err := sm.Flush(id); err != nil {
 			t.Fatal(err)
 		}
+		if i == 0 {
+			// One oversized chunk fails inside the pipeline after
+			// admission: it counts as a feed error and is still timed.
+			if _, err := sm.Feed(id, make([]float64, sm.MaxChunk()+1)); !errors.Is(err, pipeline.ErrOversizedChunk) {
+				t.Fatalf("oversized feed error = %v, want pipeline.ErrOversizedChunk", err)
+			}
+		}
 	}
 
 	status, _, body := scrape(t, ts.URL, "/metricsz")
@@ -128,7 +120,14 @@ func TestMetricszSmoke(t *testing.T) {
 		byName[fams[i].Name] = &fams[i]
 	}
 
-	st := sm.Snapshot()
+	var st Stats
+	status, _, statsz := scrape(t, ts.URL, "/statsz")
+	if status != http.StatusOK {
+		t.Fatalf("/statsz status = %d", status)
+	}
+	if err := json.Unmarshal([]byte(statsz), &st); err != nil {
+		t.Fatalf("decode /statsz: %v", err)
+	}
 	sumShards := func(family string) float64 {
 		f := byName[family]
 		if f == nil {
@@ -153,14 +152,16 @@ func TestMetricszSmoke(t *testing.T) {
 		{"echowrite_chunks_total", float64(st.Chunks)},
 		{"echowrite_detections_total", float64(st.Detections)},
 		{"echowrite_backpressure_rejects_total", float64(st.Backpressure)},
+		{"echowrite_feed_errors_total", float64(st.FeedErrors)},
 		{"echowrite_idle_evictions_total", float64(st.Evictions)},
 	} {
 		if got := sumShards(c.family); got != c.want {
 			t.Errorf("%s summed over shards = %g, /statsz says %g", c.family, got, c.want)
 		}
 	}
-	if st.Chunks == 0 || st.Detections == 0 {
-		t.Fatalf("smoke drove no traffic (chunks=%d detections=%d); test premise broken", st.Chunks, st.Detections)
+	if st.Chunks == 0 || st.Detections == 0 || st.FeedErrors != 1 {
+		t.Fatalf("smoke drove no traffic (chunks=%d detections=%d feed errors=%d); test premise broken",
+			st.Chunks, st.Detections, st.FeedErrors)
 	}
 
 	single := func(family string) float64 {
@@ -200,23 +201,63 @@ func TestMetricszSmoke(t *testing.T) {
 		}
 	}
 
-	// Every processed chunk records one histogram observation, per shard.
+	// Every job, successful or failed, records one histogram
+	// observation on its shard.
 	hist := byName["echowrite_feed_latency_milliseconds"]
 	if hist == nil {
 		t.Fatal("feed-latency histogram missing")
 	}
 	var histCount float64
-	for shard := 0; shard < sm.NumShards(); shard++ {
-		s := hist.Sample("echowrite_feed_latency_milliseconds_count",
-			expose.Label{Name: "shard", Value: strconv.Itoa(shard)})
+	views := make([]expose.HistView, sm.NumShards())
+	for shard := range views {
+		label := expose.Label{Name: "shard", Value: strconv.Itoa(shard)}
+		s := hist.Sample("echowrite_feed_latency_milliseconds_count", label)
 		if s == nil {
 			t.Fatalf("histogram _count missing for shard %d", shard)
 		}
 		histCount += s.Value
+		views[shard] = scrapedView(t, hist, label)
 	}
-	if histCount != float64(st.Chunks) {
-		t.Errorf("histogram observations = %g, chunks processed = %d", histCount, st.Chunks)
+	if want := float64(st.Chunks + st.FeedErrors); histCount != want {
+		t.Errorf("histogram observations = %g, chunks + feed errors = %g", histCount, want)
 	}
+
+	// /statsz quantiles are the scraped histograms' quantiles, exactly.
+	sum := expose.SumViews(views)
+	want := metrics.LatencySummary{P50: sum.Quantile(0.50), P95: sum.Quantile(0.95), P99: sum.Quantile(0.99)}
+	if st.FeedLatencyMs != want {
+		t.Errorf("/statsz feed_latency_ms = %+v, scraped histograms give %+v", st.FeedLatencyMs, want)
+	}
+	if want.P50 <= 0 {
+		t.Errorf("scraped feed-latency p50 = %g, want > 0 after traffic", want.P50)
+	}
+}
+
+// scrapedView rebuilds one series of a scraped histogram family as a
+// HistView: the finite buckets in exposition order, +Inf as Count.
+func scrapedView(t *testing.T, f *expose.Family, series expose.Label) expose.HistView {
+	t.Helper()
+	var v expose.HistView
+	for _, s := range f.Samples {
+		if s.Name != f.Name+"_bucket" || !slices.Contains(s.Labels, series) {
+			continue
+		}
+		i := slices.IndexFunc(s.Labels, func(l expose.Label) bool { return l.Name == "le" })
+		if i < 0 {
+			t.Fatalf("%s bucket without le label", f.Name)
+		}
+		if s.Labels[i].Value == "+Inf" {
+			v.Count = uint64(s.Value)
+			continue
+		}
+		le, err := strconv.ParseFloat(s.Labels[i].Value, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.UpperBounds = append(v.UpperBounds, le)
+		v.Cumulative = append(v.Cumulative, uint64(s.Value))
+	}
+	return v
 }
 
 // feedAll streams samples through Feed in pipeline-sized chunks,
@@ -256,11 +297,11 @@ func (o onlyService) MaxChunk() int         { return o.s.MaxChunk() }
 func (o onlyService) Shutdown()             { o.s.Shutdown() }
 
 // TestMetricszForeignService checks the documented fallback: a Service
-// that is not one of the package's managers still serves /statsz but
+// that does not embed a ShardedManager still serves /statsz but
 // 404s /metricsz instead of exposing a half-built registry.
 func TestMetricszForeignService(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewManager(Config{MaxSessions: 2, Workers: 1, Prewarm: 1})
+	mgr, err := NewShardedManager(Config{MaxSessions: 2, Workers: 1, Prewarm: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

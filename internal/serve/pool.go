@@ -3,10 +3,11 @@
 // them through the existing pipeline safely.
 //
 // The building blocks are an EnginePool (pre-warmed recognizer state so
-// sessions never pay the 8192-pt STFT setup per request), a Manager that
-// owns per-session pipeline.Stream state behind a bounded worker pool
-// with backpressure admission control, an HTTP front end (Server), and a
-// load harness (RunLoad) used by cmd/ewload.
+// sessions never pay the 8192-pt STFT setup per request), a
+// ShardedManager that owns per-session pipeline.Stream state behind
+// per-shard bounded worker pools with backpressure admission control, an
+// HTTP front end (Server), and a load harness (RunLoad) used by
+// cmd/ewload.
 package serve
 
 import (

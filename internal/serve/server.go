@@ -17,7 +17,7 @@ import (
 
 // Server is the chunked-ingest HTTP front end. Wire protocol:
 //
-//	POST   /v1/sessions            → {"session":"s000001"}
+//	POST   /v1/sessions            → {"session":"s00000001"}
 //	POST   /v1/sessions/{id}/audio → body: 16-bit little-endian mono PCM
 //	                                 at the engine's sample rate;
 //	                                 response: completed detections
@@ -46,8 +46,8 @@ type Server struct {
 }
 
 // Service is the session-manager surface the HTTP front end drives.
-// *Manager and *ShardedManager both implement it; embedders can wrap
-// either with their own middleware.
+// *ShardedManager implements it; embedders can wrap it with their own
+// middleware.
 type Service interface {
 	Open() (string, error)
 	Feed(id string, chunk []float64) ([]pipeline.Detection, error)
@@ -59,15 +59,12 @@ type Service interface {
 	Shutdown()
 }
 
-var (
-	_ Service = (*Manager)(nil)
-	_ Service = (*ShardedManager)(nil)
-)
+var _ Service = (*ShardedManager)(nil)
 
-// NewServer wires the routes around an existing manager (sharded or
-// single). /metricsz renders the Prometheus exposition when mgr is one
-// of the package's managers (or embeds one); a foreign Service gets
-// the JSON /statsz only and 404 on /metricsz.
+// NewServer wires the routes around an existing manager. /metricsz
+// renders the Prometheus exposition when mgr is a *ShardedManager (or
+// embeds one); a foreign Service gets the JSON /statsz only and 404 on
+// /metricsz.
 func NewServer(mgr Service) *Server {
 	s := &Server{mgr: mgr, mux: http.NewServeMux(), ws: newWSStats()}
 	if ms, ok := mgr.(metricsSource); ok {

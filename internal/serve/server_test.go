@@ -31,7 +31,7 @@ func postJSON(t *testing.T, client *http.Client, url string, body []byte, out an
 
 func TestServerEndToEnd(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewManager(Config{MaxSessions: 4, Workers: 2, Prewarm: 1})
+	mgr, err := NewShardedManager(Config{MaxSessions: 4, Workers: 2, Prewarm: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestServerEndToEnd(t *testing.T) {
 
 func TestServerErrorMapping(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewManager(Config{MaxSessions: 1, Workers: 1, Prewarm: 1, MaxChunk: 4096})
+	mgr, err := NewShardedManager(Config{MaxSessions: 1, Workers: 1, Prewarm: 1, MaxChunk: 4096}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestServerErrorMapping(t *testing.T) {
 	var opened struct {
 		Session string `json:"session"`
 	}
-	mgr2, err := NewManager(Config{MaxSessions: 2, Workers: 1, Prewarm: 1, MaxChunk: 4096})
+	mgr2, err := NewShardedManager(Config{MaxSessions: 2, Workers: 1, Prewarm: 1, MaxChunk: 4096}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

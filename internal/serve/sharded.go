@@ -8,25 +8,26 @@ import (
 	"sync/atomic"
 
 	"repro/internal/infer"
+	"repro/internal/metrics"
 	"repro/internal/metrics/expose"
 	"repro/internal/pipeline"
 	ewruntime "repro/internal/runtime"
 )
 
-// ShardedManager hash-partitions sessions by session ID across N
-// independent Manager shards. Each shard owns its own session table, job
-// queue, worker pool and EnginePool, so no mutex or channel is shared
-// between sessions on different shards — the single Manager's global
-// queue/lock disappears from every hot path. Backpressure and idle
-// eviction are per-shard: a hot shard 429s its own sessions while the
-// rest of the service keeps serving.
+// ShardedManager is the session manager: it hash-partitions sessions
+// by session ID across N independent shards. Each shard owns its own
+// session table, job queue, worker pool and EnginePool, so no mutex or
+// channel is shared between sessions on different shards. Backpressure
+// and idle eviction are per-shard: a hot shard 429s its own sessions
+// while the rest of the service keeps serving. One shard is a valid
+// configuration and behaves like an unsharded manager.
 //
 // Session IDs are minted centrally from an atomic counter and routed by
 // FNV-1a hash, so any holder of an ID (HTTP handlers, load generators)
 // reaches the owning shard without a routing table. Sequential counter
 // values hash near-uniformly, which keeps shards balanced.
 type ShardedManager struct {
-	shards []*Manager
+	shards []*shard
 	nextID atomic.Uint64
 }
 
@@ -49,28 +50,31 @@ func shardIndex(id string, n int) int {
 	return int(h % uint32(n))
 }
 
-// NewShardedManager splits cfg's totals across shards and starts them.
-// shards <= 0 defaults to GOMAXPROCS. The config's MaxSessions, Workers,
-// QueueDepth and Prewarm are service-wide totals, divided per shard (at
-// least one each); under hash skew a single shard may therefore fill
-// slightly before the service-wide session total is reached.
+// NewShardedManager splits cfg's totals across shards, pre-warms each
+// shard's engine pool and starts its workers; call Shutdown to release
+// them. shards <= 0 defaults to GOMAXPROCS. Workers and QueueDepth are
+// divided with the remainder going to the first shards, so the
+// per-shard values add up to the configured totals; every shard still
+// gets at least one of each, so a total below the shard count is
+// raised to it. MaxSessions and Prewarm are divided rounding up; under
+// hash skew a single shard may therefore fill slightly before the
+// service-wide session total is reached.
 func NewShardedManager(cfg Config, shards int) (*ShardedManager, error) {
 	if shards <= 0 {
 		shards = stdruntime.GOMAXPROCS(0)
 	}
 	cfg = cfg.withDefaults() // resolve totals before dividing
-	per := cfg
-	per.MaxSessions = ceilDiv(cfg.MaxSessions, shards)
-	per.Workers = max(1, cfg.Workers/shards)
-	per.QueueDepth = max(1, cfg.QueueDepth/shards)
-	per.Prewarm = ceilDiv(cfg.Prewarm, shards)
-
-	sm := &ShardedManager{shards: make([]*Manager, shards)}
+	sm := &ShardedManager{shards: make([]*shard, shards)}
 	for i := range sm.shards {
-		m, err := NewManager(per)
+		per := cfg
+		per.MaxSessions = ceilDiv(cfg.MaxSessions, shards)
+		per.Workers = splitShare(cfg.Workers, shards, i)
+		per.QueueDepth = splitShare(cfg.QueueDepth, shards, i)
+		per.Prewarm = ceilDiv(cfg.Prewarm, shards)
+		m, err := newShard(per)
 		if err != nil {
 			for _, built := range sm.shards[:i] {
-				built.Shutdown()
+				built.shutdown()
 			}
 			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
 		}
@@ -81,7 +85,17 @@ func NewShardedManager(cfg Config, shards int) (*ShardedManager, error) {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-func (sm *ShardedManager) shard(id string) *Manager {
+// splitShare is shard i's part of total over n shards: an even share,
+// one more for the first total%n shards, and never less than one.
+func splitShare(total, n, i int) int {
+	share := total / n
+	if i < total%n {
+		share++
+	}
+	return max(1, share)
+}
+
+func (sm *ShardedManager) route(id string) *shard {
 	return sm.shards[shardIndex(id, len(sm.shards))]
 }
 
@@ -93,7 +107,7 @@ func (sm *ShardedManager) Open() (string, error) {
 	var lastErr error
 	for attempt := 0; attempt < len(sm.shards); attempt++ {
 		id := fmt.Sprintf("s%08d", sm.nextID.Add(1))
-		err := sm.shard(id).OpenWithID(id)
+		err := sm.route(id).open(id)
 		if err == nil {
 			return id, nil
 		}
@@ -105,89 +119,130 @@ func (sm *ShardedManager) Open() (string, error) {
 	return "", lastErr
 }
 
-// Feed routes one audio chunk to the owning shard.
+// Feed pushes one audio chunk into a session on its owning shard and
+// returns the strokes that completed. A full shard queue yields
+// ErrBackpressure without touching session state.
 func (sm *ShardedManager) Feed(id string, chunk []float64) ([]pipeline.Detection, error) {
-	return sm.shard(id).Feed(id, chunk)
+	m := sm.route(id)
+	sess, err := m.lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	return m.submit(sess, chunk, false)
 }
 
-// Flush drains a session on its owning shard.
+// Flush drains a session's partial frame, returning the final
+// detections plus word candidates for the accumulated stroke sequence
+// (when a Recognizer is configured). The sequence resets afterwards so
+// the next word starts clean; the session itself stays open.
 func (sm *ShardedManager) Flush(id string) ([]pipeline.Detection, []infer.Candidate, error) {
-	return sm.shard(id).Flush(id)
+	m := sm.route(id)
+	sess, err := m.lookup(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	dets, err := m.submit(sess, nil, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	sess.mu.Lock()
+	seq := sess.seq
+	sess.seq = nil
+	sess.mu.Unlock()
+	if m.cfg.Recognizer == nil || len(seq) == 0 {
+		return dets, nil, nil
+	}
+	cands, err := m.cfg.Recognizer.Recognize(seq)
+	if err != nil {
+		return dets, nil, fmt.Errorf("serve: word candidates: %w", err)
+	}
+	return dets, cands, nil
 }
 
-// Close removes a session from its owning shard.
+// Close removes a session and returns its engine to the pool.
 func (sm *ShardedManager) Close(id string) error {
-	return sm.shard(id).Close(id)
+	return sm.route(id).close(id)
 }
 
-// Touch refreshes a session's idle clock on its owning shard.
+// Touch refreshes a session's idle clock without submitting work. The
+// streaming front end calls it so a live connection counts as session
+// activity for EvictIdle even when no audio is flowing.
 func (sm *ShardedManager) Touch(id string) error {
-	return sm.shard(id).Touch(id)
+	m := sm.route(id)
+	sess, err := m.lookup(id)
+	if err != nil {
+		return err
+	}
+	sess.lastActive.Store(m.cfg.Clock().UnixNano())
+	return nil
 }
 
-// EvictIdle sweeps every shard and returns the total evicted. Each shard
-// holds only its own lock during its sweep.
+// EvictIdle reclaims sessions idle past IdleTimeout on every shard and
+// returns the total evicted. The HTTP server calls this on a timer; a
+// shard also calls it on itself when its table is full at Open. Each
+// shard holds only its own lock during its sweep.
 func (sm *ShardedManager) EvictIdle() int {
 	n := 0
 	for _, m := range sm.shards {
-		n += m.EvictIdle()
+		n += m.evictIdle()
 	}
 	return n
 }
 
-// Shutdown stops every shard, in parallel so slow drains overlap.
+// Shutdown closes every session and stops every shard's workers, in
+// parallel so slow drains overlap. Queued jobs are abandoned; their
+// callers receive ErrClosed. Shutdown is idempotent.
 func (sm *ShardedManager) Shutdown() {
 	var wg sync.WaitGroup
 	for _, m := range sm.shards {
 		wg.Add(1)
-		go func(m *Manager) {
+		go func(m *shard) {
 			defer wg.Done()
-			m.Shutdown()
+			m.shutdown()
 		}(m)
 	}
 	wg.Wait()
 }
 
-// MaxChunk reports the per-feed sample cap (identical on every shard).
-func (sm *ShardedManager) MaxChunk() int { return sm.shards[0].MaxChunk() }
-
-// Snapshot aggregates every shard into one Stats view: counters and
-// occupancy sum, feed-latency quantiles merge over the pooled per-shard
-// samples (shards weighted by how much traffic each retained), stage
-// breakdowns merge before the per-stroke division, and Shards carries
-// the per-shard queue/backpressure/eviction detail. Per-shard quantiles
-// are never computed: each shard contributes raw samples and the merge
-// sorts the pool once, through the same summarizeFeedLatency choke
-// point that keeps empty-sample NaN out of the JSON.
-func (sm *ShardedManager) Snapshot() Stats {
-	var (
-		agg     Stats
-		stages  ewruntime.StageBreakdown
-		latency = make([][]float64, 0, len(sm.shards))
-	)
-	agg.Shards = sm.shardStats()
-	for i, m := range sm.shards {
-		sv := agg.Shards[i]
-		agg.ActiveSessions += sv.ActiveSessions
-		agg.MaxSessions += m.cfg.MaxSessions
-		agg.Workers += m.cfg.Workers
-		agg.QueueLen += sv.QueueLen
-		agg.QueueCap += sv.QueueCap
-		p := m.pool.Stats()
-		agg.Pool.Created += p.Created
-		agg.Pool.Reused += p.Reused
-		agg.Pool.Free += p.Free
-		agg.Chunks += sv.Chunks
-		agg.Detections += sv.Detections
-		agg.Backpressure += sv.Backpressure
-		agg.FeedErrors += sv.FeedErrors
-		agg.Evictions += sv.Evictions
-		stages.Merge(m.stages.Snapshot())
-		latency = append(latency, m.latencySamples())
+// MaxChunk reports the per-feed sample cap admission control enforces
+// (the HTTP front end derives its body limit from it).
+func (sm *ShardedManager) MaxChunk() int {
+	if c := sm.shards[0].cfg.MaxChunk; c > 0 {
+		return c
 	}
-	agg.FeedLatencyMs = summarizeFeedLatency(latency...)
-	agg.PerStroke = stageMillis(stages)
-	return agg
+	return pipeline.DefaultMaxChunk
+}
+
+// Snapshot aggregates every shard into one Stats view from the same
+// reads the /metricsz collectors make: counters and occupancy sum over
+// shardStats, stage totals merge before the per-stroke division, and
+// the feed-latency quantiles come from the per-shard histograms summed
+// bucket by bucket — so /statsz and /metricsz are two views of the same
+// samples.
+func (sm *ShardedManager) Snapshot() Stats {
+	st := Stats{
+		Pool:          sm.poolStats(),
+		FeedLatencyMs: latencySummary(expose.SumViews(sm.feedLatency())),
+		PerStroke:     stageMillis(sm.stageTotals()),
+		Shards:        sm.shardStats(),
+	}
+	st.MaxSessions, st.Workers = sm.limits()
+	for _, sv := range st.Shards {
+		st.ActiveSessions += sv.ActiveSessions
+		st.QueueLen += sv.QueueLen
+		st.QueueCap += sv.QueueCap
+		st.Chunks += sv.Chunks
+		st.Detections += sv.Detections
+		st.Backpressure += sv.Backpressure
+		st.FeedErrors += sv.FeedErrors
+		st.Evictions += sv.Evictions
+	}
+	return st
+}
+
+// latencySummary reads the /statsz quantile triple off a histogram view.
+func latencySummary(v expose.HistView) metrics.LatencySummary {
+	return metrics.LatencySummary{P50: v.Quantile(0.50), P95: v.Quantile(0.95), P99: v.Quantile(0.99)}
 }
 
 // shardStats implements metricsSource: every shard's counter view, in
@@ -195,17 +250,17 @@ func (sm *ShardedManager) Snapshot() Stats {
 func (sm *ShardedManager) shardStats() []ShardStats {
 	out := make([]ShardStats, len(sm.shards))
 	for i, m := range sm.shards {
-		out[i] = m.shardView()
+		out[i] = m.view()
 	}
 	return out
 }
 
-// feedLatencyHistograms implements metricsSource: one histogram per
-// shard, index-aligned with shardStats.
-func (sm *ShardedManager) feedLatencyHistograms() []*expose.Histogram {
-	out := make([]*expose.Histogram, len(sm.shards))
+// feedLatency implements metricsSource: every shard's feed-latency
+// histogram view, index-aligned with shardStats.
+func (sm *ShardedManager) feedLatency() []expose.HistView {
+	out := make([]expose.HistView, len(sm.shards))
 	for i, m := range sm.shards {
-		out[i] = m.latHist
+		out[i] = m.latHist.View()
 	}
 	return out
 }

@@ -186,6 +186,28 @@ func TestShardedEvictionPerShard(t *testing.T) {
 	}
 }
 
+// TestShardedSplitKeepsTotals: the per-shard Workers and QueueDepth
+// splits must add up to the configured totals, with the remainder on
+// the first shards, instead of flooring each share and dropping it.
+func TestShardedSplitKeepsTotals(t *testing.T) {
+	leak.Check(t)
+	sm, err := NewShardedManager(Config{Workers: 5, QueueDepth: 11, Prewarm: 1}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sm.Shutdown()
+	st := sm.Snapshot()
+	if st.Workers != 5 || st.QueueCap != 11 {
+		t.Errorf("snapshot workers = %d, queue cap = %d; want the configured 5 and 11", st.Workers, st.QueueCap)
+	}
+	wantCaps := []int{3, 3, 3, 2}
+	for i, sh := range st.Shards {
+		if sh.QueueCap != wantCaps[i] {
+			t.Errorf("shard %d queue cap = %d, want %d", i, sh.QueueCap, wantCaps[i])
+		}
+	}
+}
+
 func TestShardedShutdown(t *testing.T) {
 	leak.Check(t)
 	sm, err := NewShardedManager(Config{MaxSessions: 8, Workers: 2, Prewarm: 1}, 2)
@@ -207,10 +229,10 @@ func TestShardedShutdown(t *testing.T) {
 }
 
 // TestShardedStatszZeroTraffic is the NaN regression gate: with no
-// traffic every shard's latency reservoir is empty, quantiles are NaN
-// before sanitization, and encoding/json aborts on NaN — a regression
-// in the summarizeFeedLatency choke point surfaces here as truncated
-// /statsz JSON. The decoder runs strict so a half-written body fails.
+// traffic every shard's latency histogram is empty, and encoding/json
+// aborts on NaN — a quantile helper that returned NaN for an empty view
+// would surface here as truncated /statsz JSON. The decoder runs strict
+// so a half-written body fails.
 func TestShardedStatszZeroTraffic(t *testing.T) {
 	leak.Check(t)
 	sm, err := NewShardedManager(Config{MaxSessions: 8, Workers: 2, Prewarm: 1}, 4)

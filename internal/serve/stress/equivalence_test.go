@@ -85,9 +85,9 @@ func TestShardedEquivalentToSingleShard(t *testing.T) {
 	chunkOf := func(i int) int { return []int{2048, 4096, 8192, 3001}[i%4] }
 
 	// Single-shard reference, fed sequentially.
-	single, err := serve.NewManager(serve.Config{
+	single, err := serve.NewShardedManager(serve.Config{
 		MaxSessions: sessions, Workers: 2, QueueDepth: 64, Prewarm: 2,
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ type streamCommand struct {
 }
 
 // sessionToucher refreshes a session's idle clock without submitting
-// work. *Manager and *ShardedManager implement it; the stream handler
+// work. *ShardedManager implements it; the stream handler
 // uses it so a live connection counts as session activity for
 // EvictIdle, and to validate attach targets.
 type sessionToucher interface {

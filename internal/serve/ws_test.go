@@ -172,7 +172,7 @@ func TestStreamGoldenAlphabet(t *testing.T) {
 // semantics (the session outlives the connection).
 func TestStreamSessionLifecycle(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewManager(Config{MaxSessions: 4, Workers: 1, Prewarm: 1})
+	mgr, err := NewShardedManager(Config{MaxSessions: 4, Workers: 1, Prewarm: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestStreamSessionLifecycle(t *testing.T) {
 // snapshot poll has: "queue empty" is also true before the first feed
 // ever submits, and acting on that spurious state lets the two feeds
 // race each other — one gets rejected and the staging never completes.
-func stageSaturation(t *testing.T, mgr *Manager, id string, started <-chan struct{}, feedErr chan<- error) {
+func stageSaturation(t *testing.T, mgr *ShardedManager, id string, started <-chan struct{}, feedErr chan<- error) {
 	t.Helper()
 	// First feed: the worker signals pickup through the hook, then parks.
 	go func() {
@@ -289,7 +289,7 @@ func TestStreamBackpressure(t *testing.T) {
 	started := make(chan struct{}, 1)
 	var releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(hold) }) }
-	mgr, err := NewManager(Config{
+	mgr, err := NewShardedManager(Config{
 		MaxSessions: 4,
 		Workers:     1,
 		QueueDepth:  1,
@@ -301,7 +301,7 @@ func TestStreamBackpressure(t *testing.T) {
 			}
 			<-hold
 		},
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestDriveWriterWSReportsBackpressure(t *testing.T) {
 	started := make(chan struct{}, 1)
 	var releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(hold) }) }
-	mgr, err := NewManager(Config{
+	mgr, err := NewShardedManager(Config{
 		MaxSessions: 4,
 		Workers:     1,
 		QueueDepth:  1,
@@ -367,7 +367,7 @@ func TestDriveWriterWSReportsBackpressure(t *testing.T) {
 			}
 			<-hold
 		},
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,13 +412,13 @@ func TestStreamKeepaliveTouch(t *testing.T) {
 	var now atomic.Int64
 	now.Store(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano())
 	clock := func() time.Time { return time.Unix(0, now.Load()) }
-	mgr, err := NewManager(Config{
+	mgr, err := NewShardedManager(Config{
 		MaxSessions: 4,
 		Workers:     1,
 		Prewarm:     1,
 		IdleTimeout: time.Minute,
 		Clock:       clock,
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestStreamKeepaliveTouch(t *testing.T) {
 // events without killing the connection.
 func TestStreamBadInput(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewManager(Config{MaxSessions: 4, Workers: 1, Prewarm: 1})
+	mgr, err := NewShardedManager(Config{MaxSessions: 4, Workers: 1, Prewarm: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
