@@ -275,21 +275,24 @@ func overlapsBurst(sg segment.Segment, bursts []int) bool {
 	return false
 }
 
+// contour runs the configured contour extractor (Config.Contour) over a
+// binary image. Recognize and Stream both extract through it.
+func (e *Engine) contour(bin [][]uint8) ([]float64, error) {
+	if e.cfg.Contour == ContourMaxBin {
+		return mvce.ExtractMaxBin(bin, e.cfg.mvceConfig())
+	}
+	return mvce.Extract(bin, e.cfg.mvceConfig())
+}
+
 // extractProfile runs the configured contour extractor, returning the
 // smoothed profile and, when stages are kept, the raw one.
 func (e *Engine) extractProfile(bin [][]uint8) (smoothed, raw []float64, err error) {
-	cfg := e.cfg.mvceConfig()
-	switch e.cfg.Contour {
-	case ContourMaxBin:
-		smoothed, err = mvce.ExtractMaxBin(bin, cfg)
-	default:
-		smoothed, err = mvce.Extract(bin, cfg)
-	}
+	smoothed, err = e.contour(bin)
 	if err != nil {
 		return nil, nil, err
 	}
 	if e.KeepStages {
-		rawCfg := cfg
+		rawCfg := e.cfg.mvceConfig()
 		rawCfg.SmoothWindow = 1
 		raw, err = mvce.Extract(bin, rawCfg)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/mvce"
 	"repro/internal/segment"
 )
 
@@ -55,9 +54,8 @@ type Stream struct {
 	// testFrameHook, when set, runs before each frame extraction in
 	// Feed and Flush; a non-nil error aborts the extraction. Tests use it
 	// to reach the error exits, which are otherwise unreachable
-	// in-process (FrameColumn always sees exact-size frames and
-	// pushColumn cannot fail), to pin that accrued stage time survives an
-	// error return.
+	// in-process (FrameColumn always sees exact-size frames), to pin
+	// that accrued stage time survives an error return.
 	testFrameHook func() error
 	// testStageHook, when set, runs at the end of each timed stage of a
 	// detection pass ("enhance", "profile", "segment"); a non-nil error
@@ -158,9 +156,7 @@ func (s *Stream) Feed(chunk []float64) ([]Detection, error) {
 			break
 		}
 		s.samples = s.samples[cfg.HopSize:]
-		if err = s.pushColumn(col); err != nil {
-			break
-		}
+		s.pushColumn(col)
 	}
 	// Accrue the hop loop's cost on every exit: an error mid-extraction
 	// has already spent the time, and the serving layer folds these
@@ -242,9 +238,7 @@ func (s *Stream) AcceptColumns(cols [][]float64) error {
 	hop := s.eng.cfg.STFT.HopSize
 	for _, col := range cols {
 		s.samples = s.samples[hop:]
-		if err := s.pushColumn(col); err != nil {
-			return err
-		}
+		s.pushColumn(col)
 	}
 	return nil
 }
@@ -290,10 +284,14 @@ func (s *Stream) flushFrame() error {
 		return fmt.Errorf("pipeline: stream flush: %w", err)
 	}
 	s.samples = s.samples[:0]
-	return s.pushColumn(col)
+	s.pushColumn(col)
+	return nil
 }
 
-func (s *Stream) pushColumn(col []float64) error {
+// pushColumn appends one magnitude column to the window, feeding the
+// static template while it is still being estimated and compacting the
+// window past MaxWindow.
+func (s *Stream) pushColumn(col []float64) {
 	// Accumulate the static template from the first frames.
 	if s.static == nil {
 		s.staticAccum = append(s.staticAccum, col)
@@ -328,7 +326,6 @@ func (s *Stream) pushColumn(col []float64) error {
 			s.enh.drop(drop)
 		}
 	}
-	return nil
 }
 
 // emitSafety is how many frames behind the stream head a segment must end
@@ -351,7 +348,7 @@ func (s *Stream) process(final bool) ([]Detection, error) {
 		return nil, fmt.Errorf("pipeline: stream enhance: %w", err)
 	}
 	t0 = time.Now()
-	profile, err := mvce.Extract(bin, s.eng.cfg.mvceConfig())
+	profile, err := s.eng.contour(bin)
 	if err == nil {
 		err = s.stageHook("profile")
 	}

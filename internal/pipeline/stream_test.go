@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/acoustic"
@@ -73,51 +74,68 @@ func synthesizeSequenceIn(t testing.TB, seq stroke.Sequence, env acoustic.Enviro
 	return sig
 }
 
+// TestStreamMatchesBatch streams audio in awkward chunk sizes and checks
+// the detections against Recognize on the whole recording, under the
+// default MVCE contour and under ContourMaxBin, so both paths honour the
+// configured extractor.
 func TestStreamMatchesBatch(t *testing.T) {
-	eng, err := NewEngine(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	seq := stroke.Sequence{stroke.S2, stroke.S3, stroke.S1}
-	sig := synthesizeSequence(t, seq)
+	maxBin := DefaultConfig()
+	maxBin.Contour = ContourMaxBin
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		env  acoustic.Environment
+	}{
+		{"mvce", DefaultConfig(), acoustic.StandardEnvironment(acoustic.MeetingRoom)},
+		{"maxbin_second_writer", maxBin, acoustic.StandardEnvironment(acoustic.SecondWriter)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng, err := NewEngine(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sig := synthesizeSequenceIn(t, seq, c.env)
 
-	// Batch reference.
-	batch, err := eng.Recognize(sig)
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Batch reference.
+			batch, err := eng.Recognize(sig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(batch.Sequence, seq) {
+				t.Fatalf("batch recognized %v, want %v; test premise broken", batch.Sequence, seq)
+			}
 
-	// Stream the same audio in awkward chunk sizes.
-	stream := NewStream(eng)
-	var got []Detection
-	for start := 0; start < len(sig.Samples); start += 3001 {
-		end := start + 3001
-		if end > len(sig.Samples) {
-			end = len(sig.Samples)
-		}
-		dets, err := stream.Feed(sig.Samples[start:end])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, dets...)
-	}
-	tail, err := stream.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, tail...)
+			// Stream the same audio in awkward chunk sizes.
+			stream := NewStream(eng)
+			var got []Detection
+			for start := 0; start < len(sig.Samples); start += 3001 {
+				end := min(start+3001, len(sig.Samples))
+				dets, err := stream.Feed(sig.Samples[start:end])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, dets...)
+			}
+			tail, err := stream.Flush()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, tail...)
 
-	if len(got) != len(batch.Detections) {
-		t.Fatalf("stream emitted %d detections, batch %d", len(got), len(batch.Detections))
-	}
-	for i, d := range got {
-		if d.Stroke != batch.Detections[i].Stroke {
-			t.Errorf("detection %d: stream %v, batch %v", i, d.Stroke, batch.Detections[i].Stroke)
-		}
-		// Absolute frame indices should agree within the smear margin.
-		if diff := d.Segment.Start - batch.Detections[i].Segment.Start; diff < -4 || diff > 4 {
-			t.Errorf("detection %d start %d vs batch %d", i, d.Segment.Start, batch.Detections[i].Segment.Start)
-		}
+			if len(got) != len(batch.Detections) {
+				t.Fatalf("stream emitted %d detections, batch %d", len(got), len(batch.Detections))
+			}
+			for i, d := range got {
+				if d.Stroke != batch.Detections[i].Stroke {
+					t.Errorf("detection %d: stream %v, batch %v", i, d.Stroke, batch.Detections[i].Stroke)
+				}
+				// Absolute frame indices should agree within the smear margin.
+				if diff := d.Segment.Start - batch.Detections[i].Segment.Start; diff < -4 || diff > 4 {
+					t.Errorf("detection %d start %d vs batch %d", i, d.Segment.Start, batch.Detections[i].Segment.Start)
+				}
+			}
+		})
 	}
 }
 

@@ -9,7 +9,6 @@ package runtime
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/pipeline"
@@ -35,18 +34,6 @@ func (b *StageBreakdown) Add(t pipeline.StageTimings, n int) {
 		n = 1
 	}
 	b.Strokes += n
-}
-
-// Merge adds another breakdown's totals and stroke count into b — the
-// aggregation step when several independent accumulators (e.g. manager
-// shards) are summarized as one.
-func (b *StageBreakdown) Merge(o StageBreakdown) {
-	b.STFT += o.STFT
-	b.Enhancement += o.Enhancement
-	b.Profile += o.Profile
-	b.Segmentation += o.Segmentation
-	b.DTW += o.DTW
-	b.Strokes += o.Strokes
 }
 
 // PerStroke returns mean per-stroke durations. Strokes must be > 0.
@@ -167,27 +154,4 @@ func (m CPUModel) Occupancy(perStrokeProcessing time.Duration, strokeInterval ti
 		occ = 1
 	}
 	return occ, nil
-}
-
-// SharedBreakdown is a concurrency-safe StageBreakdown for serving
-// contexts where many sessions report timings from worker goroutines
-// (internal/serve). Aggregation happens under one mutex; snapshots are
-// value copies so readers never observe a torn update.
-type SharedBreakdown struct {
-	mu sync.Mutex
-	b  StageBreakdown // guarded by mu
-}
-
-// Add accumulates one recognition's timings covering n strokes.
-func (s *SharedBreakdown) Add(t pipeline.StageTimings, n int) {
-	s.mu.Lock()
-	s.b.Add(t, n)
-	s.mu.Unlock()
-}
-
-// Snapshot returns a copy of the aggregated breakdown.
-func (s *SharedBreakdown) Snapshot() StageBreakdown {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b
 }

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -138,31 +137,5 @@ func TestCPUModel(t *testing.T) {
 	}
 	if occ != 1 {
 		t.Errorf("occupancy = %g, want clamped 1", occ)
-	}
-}
-
-func TestSharedBreakdownConcurrentAdd(t *testing.T) {
-	var sb SharedBreakdown
-	const goroutines, adds = 8, 50
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < adds; i++ {
-				sb.Add(pipeline.StageTimings{STFT: time.Millisecond, DTW: 2 * time.Millisecond}, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	got := sb.Snapshot()
-	if got.Strokes != goroutines*adds {
-		t.Errorf("Strokes = %d, want %d", got.Strokes, goroutines*adds)
-	}
-	if want := time.Duration(goroutines*adds) * time.Millisecond; got.STFT != want {
-		t.Errorf("STFT total = %v, want %v", got.STFT, want)
-	}
-	if want := time.Duration(goroutines*adds) * 2 * time.Millisecond; got.DTW != want {
-		t.Errorf("DTW total = %v, want %v", got.DTW, want)
 	}
 }

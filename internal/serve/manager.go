@@ -2,7 +2,7 @@ package serve
 
 import (
 	"errors"
-	stdruntime "runtime"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/metrics/expose"
 	"repro/internal/pipeline"
-	ewruntime "repro/internal/runtime"
 	"repro/internal/stroke"
 )
 
@@ -81,7 +80,7 @@ func (c Config) withDefaults() Config {
 		c.IdleTimeout = 2 * time.Minute
 	}
 	if c.Workers <= 0 {
-		c.Workers = stdruntime.GOMAXPROCS(0)
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
@@ -135,7 +134,10 @@ type shard struct {
 	rejected   atomic.Uint64
 	evictions  atomic.Uint64
 	feedErrors atomic.Uint64
-	stages     ewruntime.SharedBreakdown
+
+	// Stage ledger: nanoseconds every job on this shard spent in each
+	// pipeline stage, the stream's Timings() delta across the job.
+	stftNs, enhanceNs, profileNs, segmentNs, dtwNs atomic.Int64
 
 	// latHist records every processed job's latency; /metricsz renders
 	// it and /statsz reads its quantiles. It is internally atomic.
@@ -151,12 +153,7 @@ type session struct {
 	mu     sync.Mutex
 	stream *pipeline.Stream // guarded by mu
 	seq    stroke.Sequence  // guarded by mu
-	// pendingStages accumulates stream stage-time deltas since the last
-	// emitted stroke, so the shared breakdown attributes quiet-feed cost
-	// to the strokes it ultimately produced.
-	pendingStages pipeline.StageTimings // guarded by mu
-	lastStages    pipeline.StageTimings // guarded by mu
-	closed        bool                  // guarded by mu
+	closed bool             // guarded by mu
 
 	lastActive atomic.Int64 // unix nanoseconds
 }
@@ -372,6 +369,7 @@ func (m *shard) runJob(j *job) {
 		return
 	}
 	start := time.Now()
+	before := sess.stream.Timings()
 	var (
 		dets []pipeline.Detection
 		err  error
@@ -385,12 +383,13 @@ func (m *shard) runJob(j *job) {
 		// ew:allow lockhold: same per-session serialization as Flush.
 		dets, err = sess.stream.Feed(j.chunk)
 	}
-	m.finishJob(j, start, dets, err)
+	m.finishJob(j, start, before, dets, err)
 }
 
 // finishJob is the accounting and reply tail every processed job goes
-// through. Latency and stage
-// deltas are recorded on the error branch too: a failed feed has
+// through. It adds the job's stage time — the stream's Timings() now
+// minus before, read at job start — to the shard's ledger. Latency and
+// stage time are recorded on the error branch too: a failed feed has
 // already spent real pipeline time (the stream accrues its hop-loop
 // cost on every exit), and hiding it made error storms look free on
 // /metricsz while their cost bled into the next successful feed's
@@ -398,10 +397,15 @@ func (m *shard) runJob(j *job) {
 // success-only; errors land in feedErrors (echowrite_feed_errors_total).
 //
 // ew:holds sess.mu — callers invoke this with the job's session locked.
-func (m *shard) finishJob(j *job, start time.Time, dets []pipeline.Detection, err error) {
+func (m *shard) finishJob(j *job, start time.Time, before pipeline.StageTimings, dets []pipeline.Detection, err error) {
 	sess := j.sess
 	m.latHist.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	m.accountStages(sess, len(dets))
+	after := sess.stream.Timings()
+	m.stftNs.Add(int64(after.STFT - before.STFT))
+	m.enhanceNs.Add(int64(after.Enhancement - before.Enhancement))
+	m.profileNs.Add(int64(after.Profile - before.Profile))
+	m.segmentNs.Add(int64(after.Segmentation - before.Segmentation))
+	m.dtwNs.Add(int64(after.DTW - before.DTW))
 	if err == nil {
 		m.chunks.Add(1)
 		for _, d := range dets {
@@ -419,29 +423,9 @@ func (m *shard) finishJob(j *job, start time.Time, dets []pipeline.Detection, er
 	j.reply <- jobResult{dets: dets, err: err}
 }
 
-// accountStages folds the stream's stage-time delta since the previous
-// job into the session's pending bucket, and flushes the bucket into the
-// shared breakdown whenever strokes completed — so per-stroke stage
-// means include the quiet feeds that led up to each stroke.
-//
-// ew:holds sess.mu — only runJob calls this, with the session locked.
-func (m *shard) accountStages(sess *session, strokes int) {
-	t := sess.stream.Timings()
-	last := sess.lastStages
-	sess.lastStages = t
-	sess.pendingStages.STFT += t.STFT - last.STFT
-	sess.pendingStages.Enhancement += t.Enhancement - last.Enhancement
-	sess.pendingStages.Profile += t.Profile - last.Profile
-	sess.pendingStages.Segmentation += t.Segmentation - last.Segmentation
-	sess.pendingStages.DTW += t.DTW - last.DTW
-	if strokes > 0 {
-		m.stages.Add(sess.pendingStages, strokes)
-		sess.pendingStages = pipeline.StageTimings{}
-	}
-}
-
 // StageMillis is the per-stroke stage cost view exposed by Snapshot,
-// in milliseconds.
+// in milliseconds: all pipeline time since start divided by the strokes
+// detected, so quiet audio around and after strokes is charged too.
 type StageMillis struct {
 	STFT         float64 `json:"stft"`
 	Enhancement  float64 `json:"enhancement"`
@@ -508,21 +492,21 @@ func (m *shard) view() ShardStats {
 	}
 }
 
-// stageMillis converts an aggregated stage breakdown into the per-stroke
-// millisecond view /statsz exposes (zero value when no strokes yet).
-func stageMillis(b ewruntime.StageBreakdown) StageMillis {
-	per, err := b.PerStroke()
-	if err != nil {
+// stageMillis divides stage totals by the strokes detected into the
+// per-stroke millisecond view /statsz exposes (zero value when no
+// strokes yet).
+func stageMillis(t pipeline.StageTimings, strokes uint64) StageMillis {
+	if strokes == 0 {
 		return StageMillis{}
 	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(strokes) }
 	return StageMillis{
-		STFT:         ms(per.STFT),
-		Enhancement:  ms(per.Enhancement),
-		Profile:      ms(per.Profile),
-		Segmentation: ms(per.Segmentation),
-		DTW:          ms(per.DTW),
-		Total:        ms(per.Total()),
-		Strokes:      b.Strokes,
+		STFT:         ms(t.STFT),
+		Enhancement:  ms(t.Enhancement),
+		Profile:      ms(t.Profile),
+		Segmentation: ms(t.Segmentation),
+		DTW:          ms(t.DTW),
+		Total:        ms(t.Total()),
+		Strokes:      int(strokes),
 	}
 }

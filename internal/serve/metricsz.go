@@ -5,35 +5,22 @@ import (
 	"time"
 
 	"repro/internal/metrics/expose"
-	ewruntime "repro/internal/runtime"
+	"repro/internal/pipeline"
 )
 
 // metricsSource is the cheap-read surface the /metricsz collectors
 // scrape and ShardedManager.Snapshot aggregates: per-shard counter
 // views, per-shard feed-latency histogram views (index-aligned with the
-// counter views), cumulative stage totals and the configured bounds.
+// counter views), the summed stage ledgers and the configured bounds.
 // Every read is atomic loads or a brief lock, so a tight scrape loop
-// stays cheap. *ShardedManager implements it, and so does any Service
-// that embeds one, which is how NewServer finds it behind middleware.
+// stays cheap. Service embeds it, so every Service — *ShardedManager or
+// a wrapper that embeds one — serves /metricsz.
 type metricsSource interface {
 	shardStats() []ShardStats
 	feedLatency() []expose.HistView
-	stageTotals() ewruntime.StageBreakdown
+	stageTotals() pipeline.StageTimings
 	limits() (maxSessions, workers int)
 	poolStats() PoolStats
-}
-
-// stageNames orders the per-stage counter series; the accessor pulls
-// the matching duration out of a StageBreakdown.
-var stageNames = [...]struct {
-	name string
-	get  func(b *ewruntime.StageBreakdown) time.Duration
-}{
-	{"stft", func(b *ewruntime.StageBreakdown) time.Duration { return b.STFT }},
-	{"enhancement", func(b *ewruntime.StageBreakdown) time.Duration { return b.Enhancement }},
-	{"profile", func(b *ewruntime.StageBreakdown) time.Duration { return b.Profile }},
-	{"segmentation", func(b *ewruntime.StageBreakdown) time.Duration { return b.Segmentation }},
-	{"dtw", func(b *ewruntime.StageBreakdown) time.Duration { return b.DTW }},
 }
 
 // newServiceRegistry builds the /metricsz registry over a metrics
@@ -104,23 +91,28 @@ func newServiceRegistry(ms metricsSource) *expose.Registry {
 			emit(expose.Point{Value: float64(ms.poolStats().Free)})
 		})
 
+	stageNames := [...]string{"stft", "enhancement", "profile", "segmentation", "dtw"}
 	stageLabels := make([][]expose.Label, len(stageNames))
-	for i := range stageNames {
-		stageLabels[i] = []expose.Label{{Name: "stage", Value: stageNames[i].name}}
+	for i, name := range stageNames {
+		stageLabels[i] = []expose.Label{{Name: "stage", Value: name}}
 	}
 	r.MustRegister(expose.Desc{Name: "echowrite_stage_seconds_total",
 		Help: "Cumulative pipeline time per stage; divide by echowrite_strokes_total for the per-stroke breakdown /statsz reports.",
 		Kind: expose.KindCounter},
 		func(emit func(expose.Point)) {
-			b := ms.stageTotals()
-			for i := range stageNames {
-				emit(expose.Point{Labels: stageLabels[i], Value: stageNames[i].get(&b).Seconds()})
+			t := ms.stageTotals()
+			for i, d := range [...]time.Duration{t.STFT, t.Enhancement, t.Profile, t.Segmentation, t.DTW} {
+				emit(expose.Point{Labels: stageLabels[i], Value: d.Seconds()})
 			}
 		})
 	r.MustRegister(expose.Desc{Name: "echowrite_strokes_total",
 		Help: "Strokes covered by the stage totals.", Kind: expose.KindCounter},
 		func(emit func(expose.Point)) {
-			emit(expose.Point{Value: float64(ms.stageTotals().Strokes)})
+			var strokes uint64
+			for _, sv := range ms.shardStats() {
+				strokes += sv.Detections
+			}
+			emit(expose.Point{Value: float64(strokes)})
 		})
 
 	r.MustRegister(expose.Desc{Name: "echowrite_feed_latency_milliseconds",

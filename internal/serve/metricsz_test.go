@@ -11,8 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
-	"repro/internal/infer"
 	"repro/internal/metrics"
 	"repro/internal/metrics/expose"
 	"repro/internal/pipeline"
@@ -189,6 +189,9 @@ func TestMetricszSmoke(t *testing.T) {
 	if got := single("echowrite_strokes_total"); got != float64(st.PerStroke.Strokes) {
 		t.Errorf("strokes_total = %g, /statsz says %d", got, st.PerStroke.Strokes)
 	}
+	if got, want := single("echowrite_strokes_total"), sumShards("echowrite_detections_total"); got != want {
+		t.Errorf("strokes_total = %g, detections_total summed over shards = %g", got, want)
+	}
 
 	// The per-stage counters must cover the same stages /statsz reports.
 	stages := byName["echowrite_stage_seconds_total"]
@@ -279,39 +282,102 @@ func feedAll(t *testing.T, svc Service, id string, samples []float64) {
 	}
 }
 
-// onlyService hides the manager's metrics surface, modeling an embedder
-// that wraps the Service interface with middleware.
-type onlyService struct{ s Service }
-
-func (o onlyService) Open() (string, error) { return o.s.Open() }
-func (o onlyService) Feed(id string, chunk []float64) ([]pipeline.Detection, error) {
-	return o.s.Feed(id, chunk)
-}
-func (o onlyService) Flush(id string) ([]pipeline.Detection, []infer.Candidate, error) {
-	return o.s.Flush(id)
-}
-func (o onlyService) Close(id string) error { return o.s.Close(id) }
-func (o onlyService) EvictIdle() int        { return o.s.EvictIdle() }
-func (o onlyService) Snapshot() Stats       { return o.s.Snapshot() }
-func (o onlyService) MaxChunk() int         { return o.s.MaxChunk() }
-func (o onlyService) Shutdown()             { o.s.Shutdown() }
-
-// TestMetricszForeignService checks the documented fallback: a Service
-// that does not embed a ShardedManager still serves /statsz but
-// 404s /metricsz instead of exposing a half-built registry.
-func TestMetricszForeignService(t *testing.T) {
+// TestStageLedgerMatchesStreamTimings is the stage-ledger oracle. A
+// service that has only heard silence already reports stage time on
+// /metricsz. Then, after voiced sessions, that silence-only session and
+// a session hit by an oversized chunk all close, the summed shard
+// ledgers equal, to the nanosecond, the sum of every stream's own
+// Timings() read just before Close: time after a session's last stroke,
+// and sessions with no stroke at all, are counted.
+func TestStageLedgerMatchesStreamTimings(t *testing.T) {
 	leak.Check(t)
-	mgr, err := NewShardedManager(Config{MaxSessions: 2, Workers: 1, Prewarm: 1}, 1)
+	sm, err := NewShardedManager(Config{MaxSessions: 8, Workers: 2, QueueDepth: 64, Prewarm: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mgr.Shutdown()
-	ts := httptest.NewServer(NewServer(onlyService{s: mgr}).Handler())
+	defer sm.Shutdown()
+	ts := httptest.NewServer(NewServer(sm).Handler())
 	defer ts.Close()
-	if status, _, _ := scrape(t, ts.URL, "/metricsz"); status != http.StatusNotFound {
-		t.Errorf("/metricsz on foreign service = %d, want 404", status)
+	var ids []string
+	open := func() string {
+		id, err := sm.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+		return id
 	}
-	if status, _, _ := scrape(t, ts.URL, "/statsz"); status != http.StatusOK {
-		t.Errorf("/statsz on foreign service = %d, want 200", status)
+
+	quiet := open()
+	silence := make([]float64, 4410) // 100 ms
+	for i := 0; i < 50; i++ {
+		feedAll(t, sm, quiet, silence)
+	}
+	_, _, body := scrape(t, ts.URL, "/metricsz")
+	fams, err := expose.Parse(strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("strict parse: %v", err)
+	}
+	i := slices.IndexFunc(fams, func(f expose.Family) bool { return f.Name == "echowrite_stage_seconds_total" })
+	if i < 0 {
+		t.Fatal("echowrite_stage_seconds_total missing")
+	}
+	silent := 0.0
+	for _, s := range fams[i].Samples {
+		silent += s.Value
+	}
+	if silent <= 0 {
+		t.Errorf("echowrite_stage_seconds_total summed over stages = %g after 5 s of silence, want > 0", silent)
+	}
+
+	voiced := synthesizeSequence(t, stroke.Sequence{stroke.S2, stroke.S3}, 9)
+	for i := 0; i < 2; i++ {
+		id := open()
+		feedAll(t, sm, id, voiced.Samples)
+		if _, _, err := sm.Flush(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit := open()
+	feedAll(t, sm, hit, voiced.Samples[:len(voiced.Samples)/2])
+	if _, err := sm.Feed(hit, make([]float64, sm.MaxChunk()+1)); !errors.Is(err, pipeline.ErrOversizedChunk) {
+		t.Fatalf("oversized feed error = %v, want pipeline.ErrOversizedChunk", err)
+	}
+	if sm.Snapshot().Detections == 0 {
+		t.Fatal("voiced sessions detected no strokes; test premise broken")
+	}
+
+	var want pipeline.StageTimings
+	for _, id := range ids {
+		sess, err := sm.route(id).lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.mu.Lock()
+		st := sess.stream.Timings()
+		sess.mu.Unlock()
+		want.STFT += st.STFT
+		want.Enhancement += st.Enhancement
+		want.Profile += st.Profile
+		want.Segmentation += st.Segmentation
+		want.DTW += st.DTW
+		if err := sm.Close(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := sm.stageTotals()
+	for _, c := range []struct {
+		stage     string
+		got, want time.Duration
+	}{
+		{"stft", got.STFT, want.STFT},
+		{"enhancement", got.Enhancement, want.Enhancement},
+		{"profile", got.Profile, want.Profile},
+		{"segmentation", got.Segmentation, want.Segmentation},
+		{"dtw", got.DTW, want.DTW},
+	} {
+		if c.got != c.want {
+			t.Errorf("ledger %s = %v, sum of stream timings = %v", c.stage, c.got, c.want)
+		}
 	}
 }

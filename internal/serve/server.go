@@ -35,8 +35,7 @@ import (
 type Server struct {
 	mgr Service
 	mux *http.ServeMux
-	// reg is the /metricsz registry; nil when mgr is a foreign Service
-	// implementation that does not expose the internal metrics surface.
+	// reg is the /metricsz registry.
 	reg *expose.Registry
 	// ws aggregates the streaming subsystem's metrics (see ws.go).
 	ws *wsStats
@@ -45,32 +44,28 @@ type Server struct {
 	wsKeepalive time.Duration
 }
 
-// Service is the session-manager surface the HTTP front end drives.
-// *ShardedManager implements it; embedders can wrap it with their own
-// middleware.
+// Service is everything the HTTP front end calls on the session
+// manager. Its metrics surface is unexported, so a Service is a
+// *ShardedManager or a type that embeds one: embedders wrap the manager
+// with their own middleware by overriding methods.
 type Service interface {
 	Open() (string, error)
 	Feed(id string, chunk []float64) ([]pipeline.Detection, error)
 	Flush(id string) ([]pipeline.Detection, []infer.Candidate, error)
 	Close(id string) error
+	Touch(id string) error
 	EvictIdle() int
 	Snapshot() Stats
 	MaxChunk() int
-	Shutdown()
+	metricsSource
 }
 
 var _ Service = (*ShardedManager)(nil)
 
-// NewServer wires the routes around an existing manager. /metricsz
-// renders the Prometheus exposition when mgr is a *ShardedManager (or
-// embeds one); a foreign Service gets the JSON /statsz only and 404 on
-// /metricsz.
+// NewServer wires the routes around an existing manager.
 func NewServer(mgr Service) *Server {
-	s := &Server{mgr: mgr, mux: http.NewServeMux(), ws: newWSStats()}
-	if ms, ok := mgr.(metricsSource); ok {
-		s.reg = newServiceRegistry(ms)
-		registerWSMetrics(s.reg, s.ws)
-	}
+	s := &Server{mgr: mgr, mux: http.NewServeMux(), reg: newServiceRegistry(mgr), ws: newWSStats()}
+	registerWSMetrics(s.reg, s.ws)
 	s.mux.HandleFunc("POST /v1/sessions", s.handleOpen)
 	s.mux.HandleFunc("GET /v1/stream", s.handleStream)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/audio", s.handleAudio)
@@ -188,10 +183,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 const metricsContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		http.Error(w, "metrics exposition unavailable for this service implementation", http.StatusNotFound)
-		return
-	}
 	w.Header().Set("Content-Type", metricsContentType)
 	if err := s.reg.WriteText(w); err != nil {
 		// Headers are out; nothing useful left to do (mirrors writeJSON).

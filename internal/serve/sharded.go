@@ -3,15 +3,15 @@ package serve
 import (
 	"errors"
 	"fmt"
-	stdruntime "runtime"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/infer"
 	"repro/internal/metrics"
 	"repro/internal/metrics/expose"
 	"repro/internal/pipeline"
-	ewruntime "repro/internal/runtime"
 )
 
 // ShardedManager is the session manager: it hash-partitions sessions
@@ -61,7 +61,7 @@ func shardIndex(id string, n int) int {
 // service-wide session total is reached.
 func NewShardedManager(cfg Config, shards int) (*ShardedManager, error) {
 	if shards <= 0 {
-		shards = stdruntime.GOMAXPROCS(0)
+		shards = runtime.GOMAXPROCS(0)
 	}
 	cfg = cfg.withDefaults() // resolve totals before dividing
 	sm := &ShardedManager{shards: make([]*shard, shards)}
@@ -215,15 +215,14 @@ func (sm *ShardedManager) MaxChunk() int {
 
 // Snapshot aggregates every shard into one Stats view from the same
 // reads the /metricsz collectors make: counters and occupancy sum over
-// shardStats, stage totals merge before the per-stroke division, and
-// the feed-latency quantiles come from the per-shard histograms summed
-// bucket by bucket — so /statsz and /metricsz are two views of the same
-// samples.
+// shardStats, the stage ledgers sum over shards before the per-stroke
+// division by summed detections, and the feed-latency quantiles come
+// from the per-shard histograms summed bucket by bucket — so /statsz
+// and /metricsz are two views of the same samples.
 func (sm *ShardedManager) Snapshot() Stats {
 	st := Stats{
 		Pool:          sm.poolStats(),
 		FeedLatencyMs: latencySummary(expose.SumViews(sm.feedLatency())),
-		PerStroke:     stageMillis(sm.stageTotals()),
 		Shards:        sm.shardStats(),
 	}
 	st.MaxSessions, st.Workers = sm.limits()
@@ -237,6 +236,7 @@ func (sm *ShardedManager) Snapshot() Stats {
 		st.FeedErrors += sv.FeedErrors
 		st.Evictions += sv.Evictions
 	}
+	st.PerStroke = stageMillis(sm.stageTotals(), st.Detections)
 	return st
 }
 
@@ -265,13 +265,18 @@ func (sm *ShardedManager) feedLatency() []expose.HistView {
 	return out
 }
 
-// stageTotals implements metricsSource: stage time merged over shards.
-func (sm *ShardedManager) stageTotals() ewruntime.StageBreakdown {
-	var b ewruntime.StageBreakdown
+// stageTotals implements metricsSource: the shards' stage ledgers
+// summed, i.e. all pipeline time every job spent since start.
+func (sm *ShardedManager) stageTotals() pipeline.StageTimings {
+	var t pipeline.StageTimings
 	for _, m := range sm.shards {
-		b.Merge(m.stages.Snapshot())
+		t.STFT += time.Duration(m.stftNs.Load())
+		t.Enhancement += time.Duration(m.enhanceNs.Load())
+		t.Profile += time.Duration(m.profileNs.Load())
+		t.Segmentation += time.Duration(m.segmentNs.Load())
+		t.DTW += time.Duration(m.dtwNs.Load())
 	}
-	return b
+	return t
 }
 
 // limits implements metricsSource: service-wide bounds summed over the
