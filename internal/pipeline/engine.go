@@ -181,16 +181,19 @@ func (e *Engine) Recognize(sig *audio.Signal) (*Recognition, error) {
 		rec.Stages.Raw = spec.Clone()
 	}
 
-	// Stage 2: Doppler enhancement.
+	// Stage 2: Doppler enhancement, with a cold enhancer over the whole
+	// spectrogram.
 	t0 = time.Now()
-	binary, denoised, burstFrames, err := e.enhance(spec.Data)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: enhancement: %w", err)
+	if len(spec.Data) < e.cfg.StaticFrames {
+		return nil, fmt.Errorf("pipeline: enhancement: spectrogram has %d frames, need at least %d static frames",
+			len(spec.Data), e.cfg.StaticFrames)
 	}
-	rec.BurstFrames = burstFrames
+	var en enhancer
+	binary := en.run(e, spec.Data, staticTemplate(spec.Data[:e.cfg.StaticFrames]))
+	rec.BurstFrames = en.burstFrames()
 	rec.Timings.Enhancement = time.Since(t0)
 	if rec.Stages != nil {
-		rec.Stages.Denoised = denoised
+		rec.Stages.Denoised = en.denoised()
 		rec.Stages.Binary = binary
 	}
 
@@ -227,7 +230,7 @@ func (e *Engine) Recognize(sig *audio.Signal) (*Recognition, error) {
 			return nil, fmt.Errorf("pipeline: classify segment [%d,%d]: %w", sg.Start, sg.End, err)
 		}
 		det.Segment = sg
-		det.Contaminated = overlapsBurst(sg, rec.BurstFrames)
+		det.Contaminated = en.burstIn(sg.Start, sg.End)
 		rec.Detections = append(rec.Detections, det)
 		rec.Sequence = append(rec.Sequence, det.Stroke)
 	}
@@ -235,67 +238,41 @@ func (e *Engine) Recognize(sig *audio.Signal) (*Recognition, error) {
 	return rec, nil
 }
 
-// enhance applies the paper's cleaning chain to the raw magnitude matrix
-// with a cold enhancer, returning the binary image, (when stages are
-// kept) the normalized denoised matrix, and the burst-suspect frames. The
-// static-background template is the mean of the initial StaticFrames
-// frames.
-func (e *Engine) enhance(raw [][]float64) ([][]uint8, [][]float64, []int, error) {
-	if len(raw) < e.cfg.StaticFrames {
-		return nil, nil, nil, fmt.Errorf("spectrogram has %d frames, need at least %d static frames",
-			len(raw), e.cfg.StaticFrames)
-	}
-	cols := len(raw[0])
-	static := make([]float64, cols)
-	for f := 0; f < e.cfg.StaticFrames; f++ {
-		for b, v := range raw[f] {
+// staticTemplate is the spectral-subtraction template: the per-bin mean
+// of the initial static frames. Recognize and Stream both build theirs
+// here, so the two templates are bit-identical.
+func staticTemplate(frames [][]float64) []float64 {
+	static := make([]float64, len(frames[0]))
+	for _, f := range frames {
+		for b, v := range f {
 			static[b] += v
 		}
 	}
 	for b := range static {
-		static[b] /= float64(e.cfg.StaticFrames)
+		static[b] /= float64(len(frames))
 	}
-	var en enhancer
-	bin := en.run(e, raw, static)
-	var denoised [][]float64
-	if e.KeepStages {
-		denoised = en.denoised()
-	}
-	return bin, denoised, en.burstFrames(), nil
-}
-
-// overlapsBurst reports whether any burst-suspect frame falls inside the
-// segment.
-func overlapsBurst(sg segment.Segment, bursts []int) bool {
-	for _, f := range bursts {
-		if f >= sg.Start && f <= sg.End {
-			return true
-		}
-	}
-	return false
+	return static
 }
 
 // contour runs the configured contour extractor (Config.Contour) over a
-// binary image. Recognize and Stream both extract through it.
-func (e *Engine) contour(bin [][]uint8) ([]float64, error) {
+// binary image under cfg. Recognize and Stream both extract through it.
+func (e *Engine) contour(bin [][]uint8, cfg mvce.Config) ([]float64, error) {
 	if e.cfg.Contour == ContourMaxBin {
-		return mvce.ExtractMaxBin(bin, e.cfg.mvceConfig())
+		return mvce.ExtractMaxBin(bin, cfg)
 	}
-	return mvce.Extract(bin, e.cfg.mvceConfig())
+	return mvce.Extract(bin, cfg)
 }
 
 // extractProfile runs the configured contour extractor, returning the
-// smoothed profile and, when stages are kept, the raw one.
+// smoothed profile and, when stages are kept, the raw (unsmoothed) one.
 func (e *Engine) extractProfile(bin [][]uint8) (smoothed, raw []float64, err error) {
-	smoothed, err = e.contour(bin)
-	if err != nil {
+	cfg := e.cfg.mvceConfig()
+	if smoothed, err = e.contour(bin, cfg); err != nil {
 		return nil, nil, err
 	}
 	if e.KeepStages {
-		rawCfg := e.cfg.mvceConfig()
-		rawCfg.SmoothWindow = 1
-		raw, err = mvce.Extract(bin, rawCfg)
-		if err != nil {
+		cfg.SmoothWindow = 1
+		if raw, err = e.contour(bin, cfg); err != nil {
 			return nil, nil, err
 		}
 	}

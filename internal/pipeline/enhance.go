@@ -22,13 +22,14 @@ import (
 // re-binarized only when that span moved, and hole filling and speck
 // removal run over the whole window. The result is bit-identical to
 // running the chain from scratch, which is what a cold (zero) enhancer
-// does — Engine.Recognize uses one for its single pass.
+// does — Engine.Recognize uses one for its single pass. The subtraction
+// template is fixed for a recording, so a cold cache (the first pass,
+// or after reset) is the only full recompute.
 type enhancer struct {
 	rows       []enhRow // one per window row; slots past the window are recycled
 	cached     int      // leading window rows whose cache entries are current
 	dropped    int      // rows compacted off the window front since the last pass
 	frontDirty bool     // the window front moved since the last pass
-	stale      bool     // the next pass must recompute every row
 	bins       int      // row width: the engine's band
 
 	normed            bool // bin holds rows binarized under (normMin, normSpan)
@@ -60,11 +61,6 @@ type enhRow struct {
 // with the window are released, so an idle pooled stream does not hold
 // its last window's cache; the labeling scratch is kept.
 func (e *enhancer) reset() { *e = enhancer{img: e.img} }
-
-// invalidate makes the next pass recompute every row, as after a
-// change of the subtraction template. Until then the last pass's burst
-// flags stay readable.
-func (e *enhancer) invalidate() { e.stale = true }
 
 // drop records that n columns left the window front; the cache follows
 // at the start of the next pass.
@@ -119,9 +115,6 @@ func (e *enhancer) run(eng *Engine, cols [][]float64, static []float64) [][]uint
 	n, bins := len(cols), len(cols[0])
 	e.bins = bins
 	e.compact()
-	if e.stale {
-		e.cached, e.frontDirty, e.normed, e.stale = 0, false, false, false
-	}
 
 	// Rows whose Gaussian row may differ from the cache.
 	half := len(eng.gauss) / 2

@@ -44,9 +44,9 @@ func adversarialRows(rng *rand.Rand, cols [][]float64, count, width, maxRun int)
 }
 
 // TestEnhancerMatchesWindowChain drives one enhancer through a random
-// walk of appends, front compactions, template changes and resets over
-// adversarial windows, checking every pass against the whole-window
-// chain and the per-pass work bound.
+// walk of appends, front compactions and resets over adversarial
+// windows, checking every pass against the whole-window chain and the
+// per-pass work bound.
 func TestEnhancerMatchesWindowChain(t *testing.T) {
 	for _, burst := range []bool{false, true} {
 		cfg := DefaultConfig()
@@ -77,12 +77,7 @@ func TestEnhancerMatchesWindowChain(t *testing.T) {
 				cols = cols[drop:]
 				e.drop(drop)
 			}
-			switch rng.Intn(40) {
-			case 0:
-				static[rng.Intn(width)] += 1
-				e.invalidate()
-				fresh = true
-			case 1:
+			if rng.Intn(40) == 0 {
 				e.reset()
 				fresh = true
 			}

@@ -69,7 +69,7 @@ func FuzzStreamFeed(f *testing.F) {
 	chunked := NewStream(engChunk)
 	capped := NewStream(engCapped)
 	capped.MaxChunk = 4096
-	oracle := attachOracle(f, chunked, true)
+	oracle := attachOracle(f, chunked)
 
 	// Seed corpus: a real two-stroke recording (truncated to the exec
 	// budget), plus degenerate shapes the invariant must survive.

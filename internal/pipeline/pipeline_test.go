@@ -2,10 +2,12 @@ package pipeline
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/acoustic"
 	"repro/internal/audio"
+	"repro/internal/dsp"
 	"repro/internal/geom"
 	"repro/internal/stroke"
 )
@@ -178,6 +180,36 @@ func TestRecognizeKeepStages(t *testing.T) {
 	}
 	if len(st.Binary) != len(rec.Profile) {
 		t.Errorf("binary frames %d != profile frames %d", len(st.Binary), len(rec.Profile))
+	}
+}
+
+// TestRawProfileSmoothsToProfile pins that Stages.RawProfile comes from
+// the configured contour extractor: smoothed with the profile's moving
+// average it reproduces Profile bit for bit, under both contours. The
+// second-writer scene gives the max-bin extractor frames where it and
+// MVCE disagree.
+func TestRawProfileSmoothsToProfile(t *testing.T) {
+	sig := synthesizeSequenceIn(t, stroke.Sequence{stroke.S2, stroke.S3, stroke.S1},
+		acoustic.StandardEnvironment(acoustic.SecondWriter))
+	for _, contour := range []ContourMethod{ContourMVCE, ContourMaxBin} {
+		cfg := DefaultConfig()
+		cfg.Contour = contour
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.KeepStages = true
+		rec, err := eng.Recognize(sig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		smoothed, err := dsp.MovingAverage(rec.Stages.RawProfile, cfg.mvceConfig().SmoothWindow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(smoothed, rec.Profile) {
+			t.Errorf("contour %d: smoothed RawProfile differs from Profile", contour)
+		}
 	}
 }
 

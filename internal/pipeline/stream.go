@@ -29,23 +29,19 @@ const DefaultMaxChunk = 1 << 20
 // as the batch pipeline requires.
 //
 // A Stream keeps a bounded window of spectrogram columns (MaxWindow
-// frames). Enhancement is incremental: a per-column cache, compacted with
-// the window, lets each pass recompute only the columns a feed added
-// plus a fixed horizon behind them, so a feed costs O(new columns) in the
-// per-column stages; the window-global steps (normalization span, hole
-// filling, speck removal) and contour extraction still cover the whole
-// window, exactly as a from-scratch pass would.
+// frames); it runs over MaxWindow only while a stroke not yet emitted
+// could still start before the window's front. Enhancement is
+// incremental: a per-column cache, compacted with the window, lets each
+// pass recompute only the columns a feed added plus a fixed horizon
+// behind them, so a feed costs O(new columns) in the per-column stages;
+// the window-global steps (normalization span, hole filling, speck
+// removal) and contour extraction still cover the whole window, exactly
+// as a from-scratch pass would.
 type Stream struct {
 	eng *Engine
 	// MaxWindow bounds the retained spectrogram columns; 0 means 1024
 	// frames (≈24 s at the paper's hop).
 	MaxWindow int
-	// AdaptiveStatic slowly refreshes the spectral-subtraction template
-	// during quiet frames, so a hand that comes to rest in a new spot
-	// (changing the static echo field) stops biasing later profiles. The
-	// paper's prototype re-estimates per stroke; this is the streaming
-	// equivalent. Off by default (the paper's fixed initial template).
-	AdaptiveStatic bool
 	// MaxChunk caps how many samples a single Feed call may leave
 	// buffered; 0 means DefaultMaxChunk. Oversized calls fail with
 	// ErrOversizedChunk instead of growing memory without bound.
@@ -67,8 +63,8 @@ type Stream struct {
 	columns     [][]float64 // raw magnitude columns in the window
 	frameOffset int         // absolute index of columns[0]
 	static      []float64   // spectral-subtraction template
-	staticAccum [][]float64 // first frames accumulated for the template
 	emittedEnd  int         // absolute frame index before which detections were emitted
+	keepFrom    int         // absolute frame before which no unemitted stroke can start
 	enh         enhancer    // per-column enhancement cache, aligned with columns
 	timings     StageTimings
 }
@@ -97,19 +93,19 @@ func (s *Stream) Timings() StageTimings { return s.timings }
 // Reset clears all per-recording state — buffered samples, spectrogram
 // window, the static-background template, and emission bookkeeping — so
 // the stream (and its engine's FFT machinery) can be reused for a new
-// recording. Tuning fields (MaxWindow, AdaptiveStatic, MaxChunk) are
-// preserved. Memory that scales with the window — the columns and their
-// enhancement cache — is released, so an idle pooled stream holds only
-// fixed-size buffers. A reset stream behaves identically to a freshly
-// constructed one.
+// recording. Tuning fields (MaxWindow, MaxChunk) are preserved. Memory
+// that scales with the window — the columns and their enhancement cache
+// — is released, so an idle pooled stream holds only fixed-size
+// buffers. A reset stream behaves identically to a freshly constructed
+// one.
 func (s *Stream) Reset() {
 	s.samples = s.sampleBuf[:0]
 	clear(s.columns)
 	s.columns = s.columns[:0]
 	s.frameOffset = 0
 	s.static = nil
-	s.staticAccum = nil
 	s.emittedEnd = 0
+	s.keepFrom = 0
 	s.enh.reset()
 	s.timings = StageTimings{}
 }
@@ -288,39 +284,28 @@ func (s *Stream) flushFrame() error {
 	return nil
 }
 
-// pushColumn appends one magnitude column to the window, feeding the
-// static template while it is still being estimated and compacting the
-// window past MaxWindow.
+// pushColumn appends one magnitude column to the window, building the
+// static template once the window holds the first StaticFrames columns
+// and compacting the window past MaxWindow.
 func (s *Stream) pushColumn(col []float64) {
-	// Accumulate the static template from the first frames.
-	if s.static == nil {
-		s.staticAccum = append(s.staticAccum, col)
-		if len(s.staticAccum) == s.eng.cfg.StaticFrames {
-			s.static = make([]float64, len(col))
-			for _, c := range s.staticAccum {
-				for b, v := range c {
-					s.static[b] += v
-				}
-			}
-			for b := range s.static {
-				s.static[b] /= float64(len(s.staticAccum))
-			}
-			s.staticAccum = nil
-		}
-	}
 	s.columns = append(s.columns, col)
+	if s.static == nil && len(s.columns) == s.eng.cfg.StaticFrames {
+		// The window still starts at frame 0: nothing drops before a
+		// process pass has moved keepFrom, and process waits for the
+		// template.
+		s.static = staticTemplate(s.columns)
+	}
 	maxW := s.MaxWindow
 	if maxW == 0 {
 		maxW = 1024
 	}
-	// Compact the window, but never drop frames that might belong to a
-	// stroke not yet emitted.
+	// Compact the window, but never drop frames where a stroke not yet
+	// emitted could still start. The dropped slots are cleared so the
+	// backing array does not keep their columns alive.
 	if len(s.columns) > maxW {
-		drop := len(s.columns) - maxW
-		if limit := s.emittedEnd - s.frameOffset; drop > limit {
-			drop = limit
-		}
+		drop := min(len(s.columns)-maxW, s.keepFrom-s.frameOffset)
 		if drop > 0 {
+			clear(s.columns[:drop])
 			s.columns = s.columns[drop:]
 			s.frameOffset += drop
 			s.enh.drop(drop)
@@ -348,7 +333,7 @@ func (s *Stream) process(final bool) ([]Detection, error) {
 		return nil, fmt.Errorf("pipeline: stream enhance: %w", err)
 	}
 	t0 = time.Now()
-	profile, err := s.eng.contour(bin)
+	profile, err := s.eng.contour(bin, s.eng.cfg.mvceConfig())
 	if err == nil {
 		err = s.stageHook("profile")
 	}
@@ -365,11 +350,15 @@ func (s *Stream) process(final bool) ([]Detection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: stream segment: %w", err)
 	}
-	if s.AdaptiveStatic {
-		s.adaptStatic(bin)
-	}
 	var out []Detection
 	head := len(profile)
+	// The earliest frame where a stroke not yet emitted could still
+	// start: one maximal stroke before the emission margin, or the first
+	// pending segment's start if that is earlier. A pending segment's
+	// start can still move earlier on a later pass, once more audio or a
+	// compaction changes the window-global steps, so it alone does not
+	// bound the drop.
+	keep := s.frameOffset + head - emitSafety - s.eng.cfg.Segment.MaxLen()
 	for _, sg := range segs {
 		absStart := sg.Start + s.frameOffset
 		absEnd := sg.End + s.frameOffset
@@ -377,7 +366,8 @@ func (s *Stream) process(final bool) ([]Detection, error) {
 			continue // already emitted
 		}
 		if !final && sg.End > head-emitSafety {
-			break // may still be growing
+			keep = min(keep, absStart) // may still be growing
+			break
 		}
 		slice, err := segment.Slice(profile, sg)
 		if err != nil {
@@ -396,6 +386,7 @@ func (s *Stream) process(final bool) ([]Detection, error) {
 		out = append(out, det)
 		s.emittedEnd = absEnd + 1
 	}
+	s.keepFrom = max(keep, s.emittedEnd)
 	return out, nil
 }
 
@@ -405,32 +396,4 @@ func (s *Stream) stageHook(stage string) error {
 		return nil
 	}
 	return s.testStageHook(stage)
-}
-
-// staticAdaptRate is the per-quiet-frame EMA coefficient for adaptive
-// template refresh; ~60 quiet frames (1.4 s) absorb a static change.
-const staticAdaptRate = 0.03
-
-// adaptStatic folds the most recent quiet (no-foreground) frames of the
-// window into the subtraction template with a slow exponential moving
-// average. Only trailing quiet frames are used so a stroke in progress
-// never leaks into the template. A template change invalidates the
-// enhancement cache: every column's subtraction changed.
-func (s *Stream) adaptStatic(bin [][]uint8) {
-	for i := len(bin) - 1; i >= 0 && i >= len(bin)-4; i-- {
-		active := 0
-		for _, v := range bin[i] {
-			if v == 1 {
-				active++
-			}
-		}
-		if active > 0 {
-			return
-		}
-		raw := s.columns[i]
-		for b := range s.static {
-			s.static[b] = (1-staticAdaptRate)*s.static[b] + staticAdaptRate*raw[b]
-		}
-		s.enh.invalidate()
-	}
 }

@@ -49,22 +49,21 @@ func windowChain(t testing.TB, cfg Config, cols [][]float64, static []float64) (
 }
 
 // windowOracle checks each detection pass of a stream, from inside the
-// pass (right after enhancement, before an adaptive template moves),
-// against windowChain over the same window and template. With
-// checkWork it also bounds the pass's recomputed rows by the columns
-// added since the previous pass plus the enhancer's fixed horizon.
+// pass (right after enhancement), against windowChain over the same
+// window and template. It also bounds the pass's recomputed rows by the
+// columns added since the previous pass plus the enhancer's fixed
+// horizon.
 type windowOracle struct {
-	t         testing.TB
-	s         *Stream
-	checkWork bool
-	lastSeen  int // FramesSeen at the previous pass; -1 before the first
-	passes    int
-	bursty    int // passes whose window held burst frames
-	maxWork   int // most rows recomputed by a pass after the first
+	t        testing.TB
+	s        *Stream
+	lastSeen int // FramesSeen at the previous pass; -1 before the first
+	passes   int
+	bursty   int // passes whose window held burst frames
+	maxWork  int // most rows recomputed by a pass after the first
 }
 
-func attachOracle(t testing.TB, s *Stream, checkWork bool) *windowOracle {
-	o := &windowOracle{t: t, s: s, checkWork: checkWork, lastSeen: -1}
+func attachOracle(t testing.TB, s *Stream) *windowOracle {
+	o := &windowOracle{t: t, s: s, lastSeen: -1}
 	s.testStageHook = func(stage string) error {
 		if stage == "enhance" {
 			o.check()
@@ -108,7 +107,7 @@ func (o *windowOracle) check() {
 	seen := s.FramesSeen()
 	if o.lastSeen >= 0 {
 		o.maxWork = max(o.maxWork, s.enh.recomputed)
-		if o.checkWork && s.enh.recomputed > seen-o.lastSeen+horizon(s.eng) {
+		if s.enh.recomputed > seen-o.lastSeen+horizon(s.eng) {
 			o.t.Errorf("pass %d recomputed %d rows for %d new columns (horizon %d)",
 				o.passes, s.enh.recomputed, seen-o.lastSeen, horizon(s.eng))
 		}
@@ -156,10 +155,8 @@ func driveRandom(t *testing.T, s *Stream, samples []float64, rng *rand.Rand) {
 
 // TestStreamIncrementalMatchesWindow is the oracle for the incremental
 // enhancer: after every pass, under random chunkings, the stream's
-// binary image and burst frames equal the whole-window chain's, and
-// (outside adaptive-template mode, whose every template change is a full
-// recompute) a pass recomputes no more than its new columns plus a
-// fixed horizon.
+// binary image and burst frames equal the whole-window chain's, and a
+// pass recomputes no more than its new columns plus a fixed horizon.
 func TestStreamIncrementalMatchesWindow(t *testing.T) {
 	seq := stroke.Sequence{stroke.S2, stroke.S5, stroke.S1}
 	quiet := synthesizeSequence(t, seq)
@@ -172,15 +169,13 @@ func TestStreamIncrementalMatchesWindow(t *testing.T) {
 	cases := []struct {
 		name      string
 		cfg       Config
-		adaptive  bool
 		maxWindow int
 		audio     []float64
 	}{
-		{"default", DefaultConfig(), false, 0, quiet.Samples},
-		{"burst", burstCfg, false, 0, noisy.Samples},
-		{"adaptive", DefaultConfig(), true, 0, quiet.Samples},
-		{"compaction", DefaultConfig(), false, 48, quiet.Samples},
-		{"burst-compaction", burstCfg, false, 48, noisy.Samples},
+		{"default", DefaultConfig(), 0, quiet.Samples},
+		{"burst", burstCfg, 0, noisy.Samples},
+		{"compaction", DefaultConfig(), 48, quiet.Samples},
+		{"burst-compaction", burstCfg, 48, noisy.Samples},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,8 +184,8 @@ func TestStreamIncrementalMatchesWindow(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := NewStream(eng)
-			s.AdaptiveStatic, s.MaxWindow = tc.adaptive, tc.maxWindow
-			o := attachOracle(t, s, !tc.adaptive)
+			s.MaxWindow = tc.maxWindow
+			o := attachOracle(t, s)
 			rng := rand.New(rand.NewSource(int64(ci + 1)))
 			for run := 0; run < 2; run++ {
 				// The second run reuses the stream after Reset.

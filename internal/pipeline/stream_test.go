@@ -3,13 +3,13 @@ package pipeline
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/acoustic"
 	"repro/internal/audio"
 	"repro/internal/geom"
-	"repro/internal/mvce"
 	"repro/internal/stroke"
 )
 
@@ -77,18 +77,24 @@ func synthesizeSequenceIn(t testing.TB, seq stroke.Sequence, env acoustic.Enviro
 // TestStreamMatchesBatch streams audio in awkward chunk sizes and checks
 // the detections against Recognize on the whole recording, under the
 // default MVCE contour and under ContourMaxBin, so both paths honour the
-// configured extractor.
+// configured extractor. The stream's subtraction template must equal the
+// batch template of the same spectrogram bit for bit, also with a
+// longer static lead-in.
 func TestStreamMatchesBatch(t *testing.T) {
 	seq := stroke.Sequence{stroke.S2, stroke.S3, stroke.S1}
 	maxBin := DefaultConfig()
 	maxBin.Contour = ContourMaxBin
+	static9 := DefaultConfig()
+	static9.StaticFrames = 9
+	meeting := acoustic.StandardEnvironment(acoustic.MeetingRoom)
 	for _, c := range []struct {
 		name string
 		cfg  Config
 		env  acoustic.Environment
 	}{
-		{"mvce", DefaultConfig(), acoustic.StandardEnvironment(acoustic.MeetingRoom)},
+		{"mvce", DefaultConfig(), meeting},
 		{"maxbin_second_writer", maxBin, acoustic.StandardEnvironment(acoustic.SecondWriter)},
+		{"static9", static9, meeting},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			eng, err := NewEngine(c.cfg)
@@ -123,6 +129,13 @@ func TestStreamMatchesBatch(t *testing.T) {
 			}
 			got = append(got, tail...)
 
+			spec, err := eng.stft.Compute(sig.Samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := staticTemplate(spec.Data[:c.cfg.StaticFrames]); !slices.Equal(stream.static, want) {
+				t.Error("stream template differs from the batch template of the same spectrogram")
+			}
 			if len(got) != len(batch.Detections) {
 				t.Fatalf("stream emitted %d detections, batch %d", len(got), len(batch.Detections))
 			}
@@ -249,112 +262,40 @@ func TestStreamSilenceEmitsNothing(t *testing.T) {
 	}
 }
 
-func TestStreamAdaptiveStatic(t *testing.T) {
-	// After the hand comes to rest in a NEW position (a static echo the
-	// initial template has never seen), the fixed-template stream keeps a
-	// residual foreground there forever; the adaptive stream absorbs it.
+// TestStreamSilenceWindowBounded pins that a session which never emits
+// a stroke still compacts its window: two minutes of a steady carrier
+// over faint noise keep the window within MaxWindow plus one feed's
+// columns.
+func TestStreamSilenceWindowBounded(t *testing.T) {
 	eng, err := NewEngine(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Scene: rest at A (template learned) → stroke → long rest at B.
-	start, err := stroke.StartPoint(stroke.S2, stroke.ShapeParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	end, err := stroke.EndPoint(stroke.S2, stroke.ShapeParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := stroke.Shape(stroke.S2, stroke.ShapeParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	finger, err := geom.NewCompositeTrajectory(
-		&geom.StaticTrajectory{Pos: start, Dur: 0.4},
-		tr,
-		&geom.StaticTrajectory{Pos: end, Dur: 6.0}, // long rest at B
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := &acoustic.Scene{
-		Device:     acoustic.Mate9(),
-		Env:        acoustic.StandardEnvironment(acoustic.MeetingRoom),
-		Reflectors: acoustic.HandReflectors(finger),
-		Duration:   finger.Duration(),
-		Seed:       5,
-	}
-	sig, err := sc.Synthesize()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tailBias := func(adaptive bool) float64 {
-		stream := NewStream(eng)
-		stream.AdaptiveStatic = adaptive
-		for off := 0; off < len(sig.Samples); off += 4410 {
-			endIdx := min(off+4410, len(sig.Samples))
-			if _, err := stream.Feed(sig.Samples[off:endIdx]); err != nil {
-				t.Fatal(err)
-			}
+	stream := NewStream(eng)
+	stream.MaxWindow = 256
+	const feed = 4410
+	cfg := eng.cfg.STFT
+	perFeed := feed/cfg.HopSize + 1
+	rng := rand.New(rand.NewSource(1))
+	chunk := make([]float64, feed)
+	n := 0
+	for fed := 0; fed < 120*int(cfg.SampleRate); fed += feed {
+		for i := range chunk {
+			chunk[i] = 0.3*math.Sin(2*math.Pi*eng.cfg.CarrierHz*float64(n)/cfg.SampleRate) + 1e-3*rng.NormFloat64()
+			n++
 		}
-		// Inspect the final window's profile tail directly.
-		var cold enhancer
-		bin := cold.run(eng, stream.columns, stream.static)
-		profile, err := mvceExtractForTest(eng, bin)
+		dets, err := stream.Feed(chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Mean |shift| over the last 40 frames (pure rest at B).
-		sum := 0.0
-		n := 0
-		for i := len(profile) - 40; i < len(profile); i++ {
-			if i >= 0 {
-				sum += math.Abs(profile[i])
-				n++
-			}
+		if len(dets) > 0 {
+			t.Fatalf("silence emitted %d detections at frame %d; test premise broken", len(dets), stream.FramesSeen())
 		}
-		return sum / float64(n)
-	}
-
-	fixed := tailBias(false)
-	adaptive := tailBias(true)
-	t.Logf("rest-at-B residual: fixed %.1f Hz, adaptive %.1f Hz", fixed, adaptive)
-	if adaptive > fixed {
-		t.Errorf("adaptive template did not reduce residual: %.1f vs %.1f", adaptive, fixed)
-	}
-	if adaptive > 6 {
-		t.Errorf("adaptive residual %.1f Hz still large", adaptive)
-	}
-
-	// The adaptive template must actually have moved away from the
-	// initial one (the hand's static echo changed from A to B).
-	mkStatic := func(adapt bool) []float64 {
-		stream := NewStream(eng)
-		stream.AdaptiveStatic = adapt
-		for off := 0; off < len(sig.Samples); off += 4410 {
-			endIdx := min(off+4410, len(sig.Samples))
-			if _, err := stream.Feed(sig.Samples[off:endIdx]); err != nil {
-				t.Fatal(err)
-			}
+		if got := len(stream.columns); got > stream.MaxWindow+perFeed {
+			t.Fatalf("window holds %d columns after %d frames, want at most %d",
+				got, stream.FramesSeen(), stream.MaxWindow+perFeed)
 		}
-		return append([]float64(nil), stream.static...)
 	}
-	fixedTpl := mkStatic(false)
-	adaptTpl := mkStatic(true)
-	diff := 0.0
-	for b := range fixedTpl {
-		diff += math.Abs(fixedTpl[b] - adaptTpl[b])
-	}
-	if diff == 0 {
-		t.Error("adaptive template never updated")
-	}
-}
-
-// mvceExtractForTest exposes contour extraction on a binary window.
-func mvceExtractForTest(eng *Engine, bin [][]uint8) ([]float64, error) {
-	return mvce.Extract(bin, eng.cfg.mvceConfig())
 }
 
 func TestStreamResetMatchesFresh(t *testing.T) {

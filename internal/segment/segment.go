@@ -66,6 +66,15 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxLen returns MaxFrames with its default resolved: the length at
+// which Detect truncates a segment.
+func (c Config) MaxLen() int {
+	if c.MaxFrames == 0 {
+		return 60
+	}
+	return c.MaxFrames
+}
+
 // Validate checks threshold sanity.
 func (c Config) Validate() error {
 	if c.StartThreshold <= 0 {
@@ -97,10 +106,7 @@ func Detect(profile []float64, cfg Config) ([]Segment, error) {
 	if minFrames == 0 {
 		minFrames = 4
 	}
-	maxFrames := cfg.MaxFrames
-	if maxFrames == 0 {
-		maxFrames = 60
-	}
+	maxFrames := cfg.MaxLen()
 	n := len(profile)
 	if n == 0 {
 		return nil, nil

@@ -120,13 +120,25 @@ func (sm *ShardedManager) Open() (string, error) {
 }
 
 // Feed pushes one audio chunk into a session on its owning shard and
-// returns the strokes that completed. A full shard queue yields
-// ErrBackpressure without touching session state.
+// returns the strokes that completed. A chunk over MaxChunk fails with
+// pipeline.ErrOversizedChunk and a full shard queue with
+// ErrBackpressure, both without touching session state.
 func (sm *ShardedManager) Feed(id string, chunk []float64) ([]pipeline.Detection, error) {
+	start := time.Now()
 	m := sm.route(id)
 	sess, err := m.lookup(id)
 	if err != nil {
 		return nil, err
+	}
+	if limit := sm.MaxChunk(); len(chunk) > limit {
+		// Refused before it can take a queue slot, so a full queue cannot
+		// answer it as backpressure. It counts and is timed like a feed
+		// the stream refuses; Stream.Accumulate still refuses a chunk
+		// that would overflow the buffered residue.
+		m.feedErrors.Add(1)
+		m.latHist.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+		return nil, fmt.Errorf("serve: %w: %d samples in one chunk (cap %d)",
+			pipeline.ErrOversizedChunk, len(chunk), limit)
 	}
 	return m.submit(sess, chunk, false)
 }
