@@ -39,8 +39,9 @@ test:
 	$(GO) test ./...
 
 # Race-check the whole module. The serve tree additionally runs at
-# -cpu=1,4 so shard scheduling (sharded session manager, worker pools,
-# pooled streams) is exercised both starved and parallel.
+# -cpu=1,4 so shard scheduling (sharded session manager, jobs contending
+# for per-shard slots, pooled streams) is exercised both starved and
+# parallel.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu=1,4 ./internal/serve/...

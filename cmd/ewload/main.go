@@ -33,7 +33,7 @@
 // during the soak (best effort) and once at the end (counted toward the
 // exit code).
 //
-// Saturating the worker pools is visible as backpressure 429s in the
+// Saturating the shards' job slots is visible as backpressure 429s in the
 // report rather than unbounded memory growth on the server. With
 // -max-error-rate set below 1, ewload exits non-zero when the fraction
 // of failed operations exceeds the threshold, so CI can use a short run
@@ -101,7 +101,7 @@ func main() {
 	flag.IntVar(&o.retries, "retries", 100, "backpressure retries per chunk")
 	flag.Float64Var(&o.maxErrorRate, "max-error-rate", 0.01, "exit non-zero when the failed-operation fraction exceeds this (1 disables)")
 	flag.IntVar(&o.shards, "shards", 0, "in-process server: session-manager shards (0 = GOMAXPROCS)")
-	flag.IntVar(&o.workers, "workers", 0, "in-process server: worker goroutines across shards (0 = GOMAXPROCS)")
+	flag.IntVar(&o.workers, "workers", 0, "in-process server: jobs that run at once, across shards (0 = GOMAXPROCS)")
 	flag.IntVar(&o.queue, "queue", 0, "in-process server: ingest queue depth across shards (0 = 4×workers)")
 	flag.IntVar(&o.maxSessions, "max-sessions", 256, "in-process server: session bound")
 	flag.IntVar(&o.prewarm, "prewarm", 4, "in-process server: engines built at startup")

@@ -2,8 +2,9 @@
 // an HTTP front end where many concurrent clients stream audio chunks
 // and receive stroke detections and word candidates as they complete.
 // Sessions are hash-partitioned across -shards independent shards
-// (default GOMAXPROCS), each with its own queue, session table and
-// engine pool, so no lock is shared between shards on the hot path.
+// (default GOMAXPROCS), each with its own admission bound, session
+// table and engine pool, so no lock is shared between shards on the
+// hot path.
 //
 //	ewserve -addr :8791 -max-sessions 256 -workers 8 -shards 8
 //
@@ -43,7 +44,7 @@ func main() {
 		addr        = flag.String("addr", ":8791", "listen address")
 		maxSessions = flag.Int("max-sessions", 256, "bound on concurrent sessions (total across shards)")
 		shards      = flag.Int("shards", 0, "session-manager shards (0 = GOMAXPROCS)")
-		workers     = flag.Int("workers", 0, "worker goroutines, total across shards (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "jobs that run at once, total across shards (0 = GOMAXPROCS)")
 		queue       = flag.Int("queue", 0, "ingest queue depth (0 = 4×workers)")
 		prewarm     = flag.Int("prewarm", 4, "engines built at startup")
 		idle        = flag.Duration("idle", 2*time.Minute, "idle-session eviction timeout")

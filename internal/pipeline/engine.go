@@ -350,11 +350,5 @@ func softmaxExp(x float64) float64 {
 	if x < -40 {
 		return 0
 	}
-	// math.Exp inlined via the standard library; kept in a helper for the
-	// clipping.
-	return exp(x)
+	return math.Exp(x)
 }
-
-// exp delegates to math.Exp; split out so the clipping helper reads
-// cleanly.
-func exp(x float64) float64 { return math.Exp(x) }

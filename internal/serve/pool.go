@@ -4,10 +4,11 @@
 //
 // The building blocks are an EnginePool (pre-warmed recognizer state so
 // sessions never pay the 8192-pt STFT setup per request), a
-// ShardedManager that owns per-session pipeline.Stream state behind
-// per-shard bounded worker pools with backpressure admission control, an
-// HTTP front end (Server), and a load harness (RunLoad) used by
-// cmd/ewload.
+// ShardedManager that owns per-session pipeline.Stream state and runs
+// each job on the caller's goroutine behind per-shard admission control
+// (a bounded number running, a bounded number waiting, backpressure
+// beyond that), an HTTP front end (Server), and a load harness
+// (RunLoad) used by cmd/ewload.
 package serve
 
 import (

@@ -328,7 +328,6 @@ func (s *Server) streamFeed(pump *wsPump, id string, seq uint64, body []byte) bo
 func (s *Server) streamFlush(pump *wsPump, id string, seq uint64) bool {
 	var cands []infer.Candidate
 	dets, err := s.streamSubmit(pump, seq, func() ([]pipeline.Detection, error) {
-		var ferr error
 		dets, cs, ferr := s.mgr.Flush(id)
 		cands = cs
 		return dets, ferr
