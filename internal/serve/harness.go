@@ -358,7 +358,7 @@ func postChunk(cfg LoadConfig, id string, body []byte, res *writerResult) (int, 
 }
 
 // flushSession drains the session, retrying on backpressure exactly as
-// postChunk does: a flush is queued like a chunk, so a saturated shard
+// postChunk does: a flush is admitted like a chunk, so a saturated shard
 // answers it with 429 too, and giving up would lose the session's last
 // strokes and its word candidates.
 func flushSession(cfg LoadConfig, id string, res *writerResult) (dets, words int, err error) {

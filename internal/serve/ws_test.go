@@ -307,7 +307,7 @@ func TestStreamBackpressure(t *testing.T) {
 	}
 	defer mgr.Shutdown()
 	// Registered after Shutdown so it runs first: a failing assertion
-	// must unpark the worker or Shutdown would wait on it forever.
+	// must unpark the job, or its caller would never return.
 	defer release()
 	ts := httptest.NewServer(NewServer(mgr).Handler())
 	defer ts.Close()
