@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/acoustic"
 	"repro/internal/calibrate"
+	"repro/internal/capture"
 	"repro/internal/participant"
 	"repro/internal/pipeline"
 	"repro/internal/stroke"
@@ -54,22 +55,12 @@ func run(detail bool, reps int, env acoustic.EnvironmentKind, norm bool) error {
 		sess := participant.NewSession(p, uint64(1000+pi))
 		for _, st := range stroke.AllStrokes() {
 			for r := 0; r < reps; r++ {
-				perf, err := sess.Perform(stroke.Sequence{st})
+				take, err := capture.Perform(sess, stroke.Sequence{st}, acoustic.Mate9(),
+					acoustic.StandardEnvironment(env), uint64(pi*10000+int(st)*100+r))
 				if err != nil {
 					return err
 				}
-				scene := &acoustic.Scene{
-					Device:     acoustic.Mate9(),
-					Env:        acoustic.StandardEnvironment(env),
-					Reflectors: acoustic.HandReflectors(perf.Finger),
-					Duration:   perf.Finger.Duration(),
-					Seed:       uint64(pi*10000 + int(st)*100 + r),
-				}
-				sig, err := scene.Synthesize()
-				if err != nil {
-					return err
-				}
-				rec, err := eng.Recognize(sig)
+				rec, err := eng.Recognize(take.Signal)
 				if err != nil {
 					return err
 				}
@@ -104,26 +95,17 @@ func run(detail bool, reps int, env acoustic.EnvironmentKind, norm bool) error {
 }
 
 func probeOne(eng *pipeline.Engine, sess *participant.Session, st stroke.Stroke, env acoustic.EnvironmentKind) error {
-	perf, err := sess.Perform(stroke.Sequence{st})
+	take, err := capture.Perform(sess, stroke.Sequence{st}, acoustic.Mate9(),
+		acoustic.StandardEnvironment(env), uint64(st))
 	if err != nil {
 		return err
 	}
-	scene := &acoustic.Scene{
-		Device:     acoustic.Mate9(),
-		Env:        acoustic.StandardEnvironment(env),
-		Reflectors: acoustic.HandReflectors(perf.Finger),
-		Duration:   perf.Finger.Duration(),
-		Seed:       uint64(st),
-	}
-	sig, err := scene.Synthesize()
+	rec, err := eng.Recognize(take.Signal)
 	if err != nil {
 		return err
 	}
-	rec, err := eng.Recognize(sig)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== %v  truth span [%.2f,%.2f]s  dur %.2fs\n", st, perf.Spans[0].Start, perf.Spans[0].End, sig.Duration())
+	span := take.Performance.Spans[0]
+	fmt.Printf("== %v  truth span [%.2f,%.2f]s  dur %.2fs\n", st, span.Start, span.End, take.Signal.Duration())
 	fmt.Printf("   profile (Hz): ")
 	for i, v := range rec.Profile {
 		if i%2 == 0 {

@@ -14,25 +14,12 @@ import (
 	"fmt"
 
 	"repro/internal/acoustic"
+	"repro/internal/audio"
 	"repro/internal/geom"
 	"repro/internal/pipeline"
 	"repro/internal/segment"
 	"repro/internal/stroke"
 )
-
-// referenceDevice returns an idealized front-end for template generation:
-// the configured carrier/sample rate with no noise sources.
-func referenceDevice(cfg pipeline.Config) acoustic.DeviceProfile {
-	return acoustic.DeviceProfile{
-		Name:           "reference",
-		SampleRate:     cfg.STFT.SampleRate,
-		CarrierHz:      cfg.CarrierHz,
-		TxAmplitude:    0.9,
-		DirectPathGain: 0.30,
-		ReflectionGain: 1.0,
-		ADCBits:        0, // no quantization
-	}
-}
 
 // leadDur/tailDur bracket the canonical stroke in the reference scene so
 // spectral subtraction has static frames and the Doppler blob's temporal
@@ -42,57 +29,83 @@ const (
 	tailDur = 0.45
 )
 
-// Templates synthesizes each canonical stroke in a clean reference scene,
-// runs cfg's recognition front-end over it, and returns the extracted
-// profiles indexed by Stroke.Index(). The template interval is taken from
-// the known ground-truth stroke timing (template generation defines the
-// gesture, so it knows exactly when the stroke runs) with the same
-// low-speed trimming the live segmenter applies at stroke ends.
-func Templates(cfg pipeline.Config) ([stroke.NumStrokes][]float64, error) {
-	var out [stroke.NumStrokes][]float64
+// NewCalibratedEngine builds an engine and installs pipeline-calibrated
+// templates in one step.
+func NewCalibratedEngine(cfg pipeline.Config) (*pipeline.Engine, error) {
 	eng, err := pipeline.NewEngine(cfg)
 	if err != nil {
-		return out, err
+		return nil, err
 	}
-	dev := referenceDevice(cfg)
+	if err := Install(eng, cfg, nil); err != nil {
+		return nil, err
+	}
+	return eng, nil
+}
+
+// Install synthesizes each canonical stroke in a clean reference scene at
+// base's sample rate and physical carrier, passes it through frontend
+// (nil when eng consumes base-rate audio directly, a decimator's Process
+// otherwise), runs eng's recognition front-end over the result and
+// installs the extracted profiles as eng's template library. Profiles do
+// not depend on the library eng already holds. The template interval is
+// taken from the known ground-truth stroke timing (template generation
+// defines the gesture, so it knows exactly when the stroke runs) with the
+// same low-speed trimming the live segmenter applies at stroke ends.
+func Install(eng *pipeline.Engine, base pipeline.Config, frontend func(*audio.Signal) (*audio.Signal, error)) error {
+	// An idealized device: base's rate and carrier with no noise
+	// sources and no quantization.
+	dev := acoustic.DeviceProfile{
+		Name:           "reference",
+		SampleRate:     base.STFT.SampleRate,
+		CarrierHz:      base.PhysicalCarrier(),
+		TxAmplitude:    0.9,
+		DirectPathGain: 0.30,
+		ReflectionGain: 1.0,
+	}
+	cfg := eng.Config()
 	frameRate := cfg.FrameRate()
 	floor := cfg.Segment.EndSpeedFloor
 	if floor <= 0 {
 		floor = 16
 	}
+	var lib [stroke.NumStrokes][]float64
 	for _, st := range stroke.AllStrokes() {
 		tr, err := stroke.Shape(st, stroke.ShapeParams{})
 		if err != nil {
-			return out, fmt.Errorf("calibrate: %w", err)
+			return fmt.Errorf("calibrate: %w", err)
 		}
 		start, err := stroke.StartPoint(st, stroke.ShapeParams{})
 		if err != nil {
-			return out, fmt.Errorf("calibrate: %w", err)
+			return fmt.Errorf("calibrate: %w", err)
 		}
 		end, err := stroke.EndPoint(st, stroke.ShapeParams{})
 		if err != nil {
-			return out, fmt.Errorf("calibrate: %w", err)
+			return fmt.Errorf("calibrate: %w", err)
 		}
 		lead := &geom.StaticTrajectory{Pos: start, Dur: leadDur}
 		tail := &geom.StaticTrajectory{Pos: end, Dur: tailDur}
 		finger, err := geom.NewCompositeTrajectory(lead, tr, tail)
 		if err != nil {
-			return out, fmt.Errorf("calibrate: %w", err)
+			return fmt.Errorf("calibrate: %w", err)
 		}
 		scene := &acoustic.Scene{
 			Device:     dev,
-			Env:        acoustic.Environment{},
 			Reflectors: acoustic.HandReflectors(finger),
 			Duration:   finger.Duration(),
 			Seed:       1,
 		}
 		sig, err := scene.Synthesize()
 		if err != nil {
-			return out, fmt.Errorf("calibrate: synthesizing %v: %w", st, err)
+			return fmt.Errorf("calibrate: synthesizing %v: %w", st, err)
+		}
+		if frontend != nil {
+			if sig, err = frontend(sig); err != nil {
+				return fmt.Errorf("calibrate: front-end for %v: %w", st, err)
+			}
 		}
 		rec, err := eng.Recognize(sig)
 		if err != nil {
-			return out, fmt.Errorf("calibrate: recognizing %v: %w", st, err)
+			return fmt.Errorf("calibrate: recognizing %v: %w", st, err)
 		}
 		// Ground-truth frame bounds with margin for the pipeline's
 		// temporal smear: an 8192-sample window spans 8 hops, so blob
@@ -108,15 +121,15 @@ func Templates(cfg pipeline.Config) ([stroke.NumStrokes][]float64, error) {
 		}
 		slice, err := segment.Slice(rec.Profile, segment.Segment{Start: lo, End: hi})
 		if err != nil {
-			return out, fmt.Errorf("calibrate: %w", err)
+			return fmt.Errorf("calibrate: %w", err)
 		}
 		tpl := trimQuiet(slice, floor)
 		if len(tpl) < 4 {
-			return out, fmt.Errorf("calibrate: canonical %v yielded a %d-frame template; pipeline cannot see its own gesture", st, len(tpl))
+			return fmt.Errorf("calibrate: canonical %v yielded a %d-frame template; pipeline cannot see its own gesture", st, len(tpl))
 		}
-		out[st.Index()] = tpl
+		lib[st.Index()] = tpl
 	}
-	return out, nil
+	return eng.SetTemplateLibrary(lib)
 }
 
 // trimQuiet removes leading and trailing frames whose |shift| is under the
@@ -144,21 +157,4 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// NewCalibratedEngine builds an engine and installs pipeline-calibrated
-// templates in one step.
-func NewCalibratedEngine(cfg pipeline.Config) (*pipeline.Engine, error) {
-	tpls, err := Templates(cfg)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := pipeline.NewEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.SetTemplateLibrary(tpls); err != nil {
-		return nil, err
-	}
-	return eng, nil
 }

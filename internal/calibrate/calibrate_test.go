@@ -7,11 +7,18 @@ import (
 	"repro/internal/stroke"
 )
 
-func TestTemplatesCoverAllStrokes(t *testing.T) {
-	tpls, err := Templates(pipeline.DefaultConfig())
+// templates returns the library NewCalibratedEngine installs for cfg.
+func templates(t *testing.T, cfg pipeline.Config) [stroke.NumStrokes][]float64 {
+	t.Helper()
+	eng, err := NewCalibratedEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng.TemplateLibrary()
+}
+
+func TestTemplatesCoverAllStrokes(t *testing.T) {
+	tpls := templates(t, pipeline.DefaultConfig())
 	for i, tpl := range tpls {
 		if len(tpl) < 8 {
 			t.Errorf("template %d has only %d frames", i+1, len(tpl))
@@ -30,10 +37,7 @@ func TestTemplatesCarryPipelineBias(t *testing.T) {
 	// The point of calibration: calibrated templates should differ from
 	// the analytic ones (blob broadening inflates extremes).
 	cfg := pipeline.DefaultConfig()
-	tpls, err := Templates(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tpls := templates(t, cfg)
 	eng, err := pipeline.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +85,7 @@ func TestNewCalibratedEngineClassifiesOwnTemplates(t *testing.T) {
 func TestTemplatesRejectInvalidConfig(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	cfg.CarrierHz = 100
-	if _, err := Templates(cfg); err == nil {
+	if _, err := NewCalibratedEngine(cfg); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"repro/internal/audio"
+	"repro/internal/calibrate"
 	"repro/internal/dsp"
 	"repro/internal/pipeline"
 )
@@ -121,4 +122,20 @@ func (f *Frontend) Process(sig *audio.Signal) (*audio.Signal, error) {
 // NewEngine builds a pipeline engine on the derived configuration.
 func (f *Frontend) NewEngine() (*pipeline.Engine, error) {
 	return pipeline.NewEngine(f.cfg)
+}
+
+// CalibratedEngine builds an engine on the derived configuration with
+// pipeline-calibrated templates: each canonical stroke is synthesized at
+// the full rate and pushed through Process before its profile is
+// extracted — the downsampled counterpart of
+// calibrate.NewCalibratedEngine.
+func (f *Frontend) CalibratedEngine() (*pipeline.Engine, error) {
+	eng, err := f.NewEngine()
+	if err != nil {
+		return nil, err
+	}
+	if err := calibrate.Install(eng, f.base, f.Process); err != nil {
+		return nil, err
+	}
+	return eng, nil
 }

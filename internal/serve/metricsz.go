@@ -58,7 +58,7 @@ func newServiceRegistry(ms metricsSource) *expose.Registry {
 		expose.KindCounter, func(s ShardStats) float64 { return float64(s.Detections) })
 	perShard("echowrite_backpressure_rejects_total", "Feeds shed with 429 because the shard's queue was full.",
 		expose.KindCounter, func(s ShardStats) float64 { return float64(s.Backpressure) })
-	perShard("echowrite_feed_errors_total", "Feeds that failed inside the pipeline after admission (e.g. oversized chunks); their latency and stage time are still recorded.",
+	perShard("echowrite_feed_errors_total", "Feeds refused as oversized before admission, plus feeds and flushes that failed in the pipeline; their latency and stage time are still recorded.",
 		expose.KindCounter, func(s ShardStats) float64 { return float64(s.FeedErrors) })
 	perShard("echowrite_idle_evictions_total", "Sessions reclaimed after IdleTimeout.",
 		expose.KindCounter, func(s ShardStats) float64 { return float64(s.Evictions) })
@@ -70,7 +70,7 @@ func newServiceRegistry(ms metricsSource) *expose.Registry {
 			emit(expose.Point{Value: float64(maxSessions)})
 		})
 	r.MustRegister(expose.Desc{Name: "echowrite_workers",
-		Help: "Worker goroutines, summed over shards.", Kind: expose.KindGauge},
+		Help: "Job slots (feeds and flushes that may run at once), summed over shards.", Kind: expose.KindGauge},
 		func(emit func(expose.Point)) {
 			_, workers := ms.limits()
 			emit(expose.Point{Value: float64(workers)})
@@ -147,7 +147,7 @@ func registerWSMetrics(r *expose.Registry, ws *wsStats) {
 			emit(expose.Point{Value: float64(ws.framesOut.Load())})
 		})
 	r.MustRegister(expose.Desc{Name: "echowrite_ws_push_latency_milliseconds",
-		Help: "Queue-to-wire latency of pushed stream events (log-spaced ms buckets).",
+		Help: "Encode-and-write latency of stream events on the connection's read loop (log-spaced ms buckets).",
 		Kind: expose.KindHistogram},
 		func(emit func(expose.Point)) {
 			v := ws.pushLat.View()

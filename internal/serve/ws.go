@@ -40,13 +40,13 @@ import (
 // event. A full ingest queue emits a "backpressure" event while the
 // server keeps retrying the same chunk — frames are never dropped — and
 // "error" reports per-input failures (oversized or malformed chunks)
-// or terminal ones (unknown session).
+// or terminal ones (unknown session). A terminal error event is always
+// written before the 1008 (policy violation) close frame that ends the
+// stream.
 const (
 	// wsKeepaliveDefault paces server pings; each tick also refreshes
 	// the session's idle clock, so an open stream is never evicted.
 	wsKeepaliveDefault = 30 * time.Second
-	// wsOutboundDepth bounds the per-connection write pump's queue.
-	wsOutboundDepth = 64
 	// wsWriteTimeout bounds one frame write to a (possibly dead) peer.
 	wsWriteTimeout = 10 * time.Second
 	// wsBackpressureDelay is the pause between server-side retries of a
@@ -89,9 +89,9 @@ type streamCommand struct {
 }
 
 // wsPushLatencyBuckets are the upper bounds (milliseconds) of the
-// push-latency histogram: octaves from 50 µs, so the healthy
-// enqueue-to-wire path (tens of microseconds) and a slow-client stall
-// both land in informative buckets.
+// push-latency histogram: octaves from 50 µs, so a healthy
+// encode-and-write (tens of microseconds) and a slow-client stall both
+// land in informative buckets.
 var wsPushLatencyBuckets = mustExpBuckets(0.05, 2, 12)
 
 // wsStats is the /metricsz surface of the streaming subsystem.
@@ -110,78 +110,33 @@ func newWSStats() *wsStats {
 	return &wsStats{pushLat: hist}
 }
 
-// wsOut is one queued outbound event: the encoded frame plus its
-// enqueue time, so the pump can observe queue-to-wire push latency.
-type wsOut struct {
-	data []byte
-	t    time.Time
-}
-
-// wsPump serializes all event writes for one connection through a
-// bounded queue drained by a single goroutine, so the read loop never
-// blocks on a slow peer's TCP window and events stay ordered.
-type wsPump struct {
-	conn  *ws.Conn
-	stats *wsStats
-	ch    chan wsOut
-	done  chan struct{}
-}
-
-func newWSPump(conn *ws.Conn, stats *wsStats) *wsPump {
-	p := &wsPump{
-		conn:  conn,
-		stats: stats,
-		ch:    make(chan wsOut, wsOutboundDepth),
-		done:  make(chan struct{}),
-	}
-	go p.run()
-	return p
-}
-
-// run drains the queue until close(). On a write failure it tears down
-// the connection (waking the read loop) and keeps draining so senders
-// can never block on a dead pump.
-func (p *wsPump) run() {
-	defer close(p.done)
-	failed := false
-	for out := range p.ch {
-		if failed {
-			continue
-		}
-		_ = p.conn.SetWriteDeadline(time.Now().Add(wsWriteTimeout))
-		if err := p.conn.WriteMessage(ws.Text, out.data); err != nil {
-			// An event racing the close frame out the door is benign —
-			// the peer asked to close; don't tear the handshake down.
-			if !errors.Is(err, ws.ErrCloseSent) {
-				failed = true
-				p.conn.Close()
-			}
-			continue
-		}
-		p.stats.framesOut.Add(1)
-		p.stats.pushLat.Observe(float64(time.Since(out.t)) / float64(time.Millisecond))
-	}
-}
-
-// send encodes and enqueues one event. It may block briefly when the
-// queue is full; the pump drains unconditionally, so it never blocks
-// for good.
-func (p *wsPump) send(ev StreamEvent) {
+// push writes one event on the calling goroutine. ws.Conn serializes
+// it with keepalive pings under its write lock, so events leave in the
+// order their read loop produced them. A write failure other than a
+// close frame already sent tears the connection down, which unwinds
+// the read loop.
+func (s *Server) push(conn *ws.Conn, ev StreamEvent) {
+	t := time.Now()
 	data, err := json.Marshal(ev)
 	if err != nil {
 		return // event structs marshal by construction
 	}
-	p.ch <- wsOut{data: data, t: time.Now()}
-}
-
-// close flushes the queue and stops the pump goroutine.
-func (p *wsPump) close() {
-	close(p.ch)
-	<-p.done
+	_ = conn.SetWriteDeadline(t.Add(wsWriteTimeout))
+	if err := conn.WriteMessage(ws.Text, data); err != nil {
+		// An event racing the close frame out the door is benign — the
+		// peer asked to close; don't tear the handshake down.
+		if !errors.Is(err, ws.ErrCloseSent) {
+			conn.Close()
+		}
+		return
+	}
+	s.ws.framesOut.Add(1)
+	s.ws.pushLat.Observe(float64(time.Since(t)) / float64(time.Millisecond))
 }
 
 // handleStream is GET /v1/stream: upgrade, resolve the session, then
-// pump events out while the read loop feeds chunks and commands in.
+// run the read loop, which feeds chunks and commands in and writes the
+// events each one produces.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("session")
 	conn, err := ws.Accept(w, r)
@@ -216,14 +171,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	pump := newWSPump(conn, s.ws)
-	defer pump.close()
-
 	stop := make(chan struct{})
 	defer close(stop)
 	go s.wsKeepaliveLoop(conn, id, stop)
 
-	pump.send(StreamEvent{Type: StreamEventReady, Session: id})
+	s.push(conn, StreamEvent{Type: StreamEventReady, Session: id})
 	var seq uint64
 	for {
 		typ, data, err := conn.ReadMessage()
@@ -235,23 +187,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		switch typ {
 		case ws.Binary:
 			seq++
-			if terminal := s.streamFeed(pump, id, seq, data); terminal {
-				conn.WriteClose(ws.StatusPolicyViolation, "session gone")
-				return
-			}
+			err = s.streamFeed(conn, id, seq, data)
 		case ws.Text:
 			var cmd streamCommand
 			if err := json.Unmarshal(data, &cmd); err != nil {
-				pump.send(StreamEvent{Type: StreamEventError, Error: "malformed command: " + err.Error()})
+				s.push(conn, StreamEvent{Type: StreamEventError, Error: "malformed command: " + err.Error()})
 				continue
 			}
 			switch cmd.Cmd {
 			case "flush":
 				seq++
-				if terminal := s.streamFlush(pump, id, seq); terminal {
-					conn.WriteClose(ws.StatusPolicyViolation, "session gone")
-					return
-				}
+				err = s.streamFlush(conn, id, seq)
 			case "close":
 				if err := s.mgr.Close(id); err == nil {
 					opened = false // already closed; the defer must not double-close
@@ -260,21 +206,23 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				// until the peer's reply surfaces as a CloseError.
 				conn.WriteClose(ws.StatusNormalClosure, "")
 			default:
-				pump.send(StreamEvent{Type: StreamEventError, Error: "unknown command " + cmd.Cmd})
+				s.push(conn, StreamEvent{Type: StreamEventError, Error: "unknown command " + cmd.Cmd})
+			}
+		}
+		if err != nil {
+			s.push(conn, StreamEvent{Type: StreamEventError, Seq: seq, Error: err.Error()})
+			if errors.Is(err, ErrUnknownSession) || errors.Is(err, ErrClosed) {
+				conn.WriteClose(ws.StatusPolicyViolation, "session gone")
+				return
 			}
 		}
 	}
 }
 
-// rejectStream reports a pre-stream failure (open or attach) on a
-// connection that has no pump yet, then closes with a policy code.
+// rejectStream reports a pre-stream failure (open or attach), then
+// closes with a policy code.
 func (s *Server) rejectStream(conn *ws.Conn, err error) {
-	data, merr := json.Marshal(StreamEvent{Type: StreamEventError, Error: err.Error()})
-	if merr == nil {
-		_ = conn.SetWriteDeadline(time.Now().Add(wsWriteTimeout))
-		_ = conn.WriteMessage(ws.Text, data)
-		s.ws.framesOut.Add(1)
-	}
+	s.push(conn, StreamEvent{Type: StreamEventError, Error: err.Error()})
 	_ = conn.CloseHandshake(ws.StatusPolicyViolation, err.Error(), wsCloseTimeout)
 }
 
@@ -303,55 +251,53 @@ func (s *Server) wsKeepaliveLoop(conn *ws.Conn, id string, stop <-chan struct{})
 // streamFeed decodes and feeds one binary chunk, retrying through
 // shard backpressure so the audio stays contiguous — a full queue
 // surfaces to the client as a backpressure event, never a dropped
-// frame. Exactly one detection (or error) event with this seq is
-// emitted. The return value reports terminal session errors.
-func (s *Server) streamFeed(pump *wsPump, id string, seq uint64, body []byte) bool {
+// frame. On success it emits the chunk's detection event; a failure
+// is returned for the read loop to report as the chunk's error event.
+func (s *Server) streamFeed(conn *ws.Conn, id string, seq uint64, body []byte) error {
 	chunk, err := decodePCM16(body, int64(2*s.mgr.MaxChunk()))
 	if err != nil {
-		pump.send(StreamEvent{Type: StreamEventError, Seq: seq, Error: err.Error()})
-		return false
+		return err
 	}
-	dets, err := s.streamSubmit(pump, seq, func() ([]pipeline.Detection, error) {
+	dets, err := s.streamSubmit(conn, seq, func() ([]pipeline.Detection, error) {
 		return s.mgr.Feed(id, chunk)
 	})
 	if err != nil {
-		pump.send(StreamEvent{Type: StreamEventError, Seq: seq, Error: err.Error()})
-		return errors.Is(err, ErrUnknownSession) || errors.Is(err, ErrClosed)
+		return err
 	}
-	pump.send(StreamEvent{Type: StreamEventDetection, Seq: seq, Detections: detectionsJSON(dets)})
-	return false
+	s.push(conn, StreamEvent{Type: StreamEventDetection, Seq: seq, Detections: detectionsJSON(dets)})
+	return nil
 }
 
 // streamFlush drains the session and emits the detection event plus a
 // candidates event (always, even when empty, so clients have a
-// definite end-of-flush marker).
-func (s *Server) streamFlush(pump *wsPump, id string, seq uint64) bool {
+// definite end-of-flush marker). A failure is returned like
+// streamFeed's.
+func (s *Server) streamFlush(conn *ws.Conn, id string, seq uint64) error {
 	var cands []infer.Candidate
-	dets, err := s.streamSubmit(pump, seq, func() ([]pipeline.Detection, error) {
+	dets, err := s.streamSubmit(conn, seq, func() ([]pipeline.Detection, error) {
 		dets, cs, ferr := s.mgr.Flush(id)
 		cands = cs
 		return dets, ferr
 	})
 	if err != nil {
-		pump.send(StreamEvent{Type: StreamEventError, Seq: seq, Error: err.Error()})
-		return errors.Is(err, ErrUnknownSession) || errors.Is(err, ErrClosed)
+		return err
 	}
-	pump.send(StreamEvent{Type: StreamEventDetection, Seq: seq, Detections: detectionsJSON(dets)})
-	pump.send(StreamEvent{Type: StreamEventCandidates, Seq: seq, Words: candidatesJSON(cands)})
-	return false
+	s.push(conn, StreamEvent{Type: StreamEventDetection, Seq: seq, Detections: detectionsJSON(dets)})
+	s.push(conn, StreamEvent{Type: StreamEventCandidates, Seq: seq, Words: candidatesJSON(cands)})
+	return nil
 }
 
 // streamSubmit runs one ingest operation with bounded backpressure
 // retries, emitting a single backpressure event on the first
 // rejection.
-func (s *Server) streamSubmit(pump *wsPump, seq uint64, op func() ([]pipeline.Detection, error)) ([]pipeline.Detection, error) {
+func (s *Server) streamSubmit(conn *ws.Conn, seq uint64, op func() ([]pipeline.Detection, error)) ([]pipeline.Detection, error) {
 	for attempt := 0; ; attempt++ {
 		dets, err := op()
 		if !errors.Is(err, ErrBackpressure) {
 			return dets, err
 		}
 		if attempt == 0 {
-			pump.send(StreamEvent{
+			s.push(conn, StreamEvent{
 				Type:    StreamEventBackpressure,
 				Seq:     seq,
 				RetryMs: int(wsBackpressureDelay / time.Millisecond),

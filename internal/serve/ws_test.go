@@ -510,3 +510,41 @@ func TestStreamBadInput(t *testing.T) {
 func (c *StreamClient) writeRaw(s string) error {
 	return c.conn.WriteMessage(ws.Text, []byte(s))
 }
+
+// TestStreamTerminalErrorEvent pins the terminal half of the protocol:
+// when the attached session disappears under a stream, the next chunk
+// is answered by an error event naming the unknown session, and only
+// then by the 1008 close frame. A client must learn why the stream
+// ended from the event, not from the close reason.
+func TestStreamTerminalErrorEvent(t *testing.T) {
+	leak.Check(t)
+	mgr, err := NewShardedManager(Config{MaxSessions: 4, Workers: 1, Prewarm: 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Shutdown()
+	ts := httptest.NewServer(NewServer(mgr).Handler())
+	defer ts.Close()
+
+	for i := 0; i < 20; i++ {
+		id, err := mgr.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := DialStream(ts.URL, id, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Close(id); err != nil {
+			t.Fatal(err)
+		}
+		_, err = sc.SendChunk(make([]byte, 64))
+		sc.Abort()
+		if err == nil {
+			t.Fatalf("stream %d: chunk on a closed session succeeded", i)
+		}
+		if !strings.Contains(err.Error(), "unknown session") {
+			t.Fatalf("stream %d: chunk on a closed session = %v, want the unknown-session error event", i, err)
+		}
+	}
+}

@@ -69,8 +69,8 @@ func (e *CloseError) Error() string {
 
 // Conn is one WebSocket connection. Reads must come from a single
 // goroutine; writes are mutex-serialized, so any number of goroutines
-// (an event pump, a keepalive ticker, the reader auto-replying to
-// pings) may write concurrently.
+// (a read loop writing its events, a keepalive ticker, the reader
+// auto-replying to pings) may write concurrently.
 type Conn struct {
 	conn   net.Conn
 	br     *bufio.Reader
